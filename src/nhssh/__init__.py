@@ -5,6 +5,7 @@ from .dynamics import (
     NoEdgeStateError,
     QuenchSpec,
     Trajectory,
+    evolve,
     evolve_propagator,
     evolve_spectral,
     initial_edge_state,
@@ -42,7 +43,7 @@ from .spectral import (
     EpKind,
     EpResult,
     NearDefectiveError,
-    SpectrumSweepRow,
+    Sweep,
     ZeroModeReport,
     eigendecompose,
     ep_locate,

@@ -32,6 +32,7 @@ __all__ = [
     "initial_edge_state",
     "evolve_spectral",
     "evolve_propagator",
+    "evolve",
     "run_quench",
     "DEFAULT_ZERO_MODE_TOL",
     "DEFAULT_STEP_TOL",
@@ -232,21 +233,28 @@ def evolve_propagator(
     return Trajectory(times=times, states=states)
 
 
+def evolve(
+    h: np.ndarray, es: Eigensystem, psi0: np.ndarray, times: np.ndarray
+) -> Trajectory:
+    """Evolve psi0 under h, whose eigensystem is es.
+
+    The spectral route is preferred; when its eigenbasis is flagged as
+    near-defective the step-propagator route takes over.
+    """
+    if es.near_defective:
+        return evolve_propagator(h, psi0, times)
+    return evolve_spectral(es, psi0, times)
+
+
 def run_quench(
     spec: QuenchSpec,
     *,
     zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL,
     condition_ceiling: float = DEFAULT_CONDITION_CEILING,
 ) -> Trajectory:
-    """Build both Hamiltonians, prepare the edge state, evolve under the final one.
-
-    The spectral route is preferred; when its eigenbasis is flagged as
-    near-defective the step-propagator route takes over.
-    """
+    """Build both Hamiltonians, prepare the edge state, evolve under the final one."""
     h_initial = build_hamiltonian(spec.initial_config)
     h_final = build_hamiltonian(spec.final_config)
     psi0 = initial_edge_state(h_initial, spec.side, zero_mode_tol)
     es = eigendecompose(h_final, condition_ceiling)
-    if es.near_defective:
-        return evolve_propagator(h_final, psi0, spec.times)
-    return evolve_spectral(es, psi0, spec.times)
+    return evolve(h_final, es, psi0, spec.times)

@@ -92,16 +92,12 @@ def build_hamiltonian(config: LatticeConfig) -> np.ndarray:
     Returns a (2N, 2N) complex matrix with v on intracell bonds (2n-1, 2n),
     w on intercell bonds (2n, 2n+1), and the block potentials on the diagonal.
     """
-    n = config.n_sites
-    h = np.zeros((n, n), dtype=complex)
+    h = perturbation_matrix(config)
     for cell in range(config.n_cells):
         a = 2 * cell
         h[a, a + 1] = h[a + 1, a] = config.v
         if cell + 1 < config.n_cells:
             h[a + 1, a + 2] = h[a + 2, a + 1] = config.w
-    if config.has_region:
-        for site in range(config.region_start, config.region_end + 1):
-            h[site - 1, site - 1] = _onsite_potential(config, site)
     return h
 
 

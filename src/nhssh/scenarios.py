@@ -11,6 +11,7 @@ flagship case (220 sites, block on sites 109-112 with potentials
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,7 @@ from .dynamics import (
     Edge,
     QuenchSpec,
     Trajectory,
-    evolve_propagator,
-    evolve_spectral,
+    evolve,
     initial_edge_state,
     run_quench,
 )
@@ -33,7 +33,7 @@ from .observables import (
     site_density,
 )
 from .parallel import thread_count, thread_map
-from .spectral import DEFAULT_EP_TOL, eigendecompose, match_branches, spectrum_sweep
+from .spectral import Sweep, eigendecompose, match_branches, spectrum_sweep
 
 __all__ = [
     "ConfigError",
@@ -90,7 +90,6 @@ class ScenarioConfig:
     # t in [100, 170] (in 1/w); sampling there, before the transmitted branch
     # re-crosses the block near t = 180, isolates one reflection event.
     t_sample: float = 120.0
-    ep_tol: float = DEFAULT_EP_TOL
     zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL
     threshold: float = DEFAULT_SIDE_THRESHOLD
     output_dir: str = "out"
@@ -169,7 +168,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
     for key, value in (
         ("dt", cfg.dt),
         ("t_max", cfg.t_max),
-        ("ep_tol", cfg.ep_tol),
         ("zero_mode_tol", cfg.zero_mode_tol),
         ("threshold", cfg.threshold),
     ):
@@ -186,6 +184,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
         )
     try:
         scenario_lattice(cfg, cfg.v_initial)
+        thread_count()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -246,6 +245,20 @@ def _write_csv(path: Path, header: str, rows: list[list[str]]) -> Path:
     return path
 
 
+def _write_sweep(path: Path, sweep: Sweep, branch: np.ndarray | None = None) -> Path:
+    """One row per (grid point, eigenvalue); a branch column only with labels."""
+    labels = None if branch is None else branch.tolist()
+    rows = []
+    for g, ratio in enumerate(sweep.v_over_w.tolist()):
+        cells = zip(sweep.eigenvalues[g].tolist(), sweep.com[g].tolist(), sweep.side[g])
+        for i, (e, com, side) in enumerate(cells):
+            label = [] if labels is None else [str(labels[g][i])]
+            rows.append([_fmt(ratio), str(i), *label, _fmt(e.real), _fmt(e.imag),
+                         _fmt(com), side.value])
+    header = "v_over_w,index," + ("" if labels is None else "branch,") + "re_e,im_e,com,side"
+    return _write_csv(path, header, rows)
+
+
 def _write_heatmap(pgm_path: Path, sidecar_path: Path, traj: Trajectory) -> list[Path]:
     """Binary 16-bit graymap: rows are sites, columns time samples.
 
@@ -290,35 +303,15 @@ def _run_single_quench(cfg: ScenarioConfig, side: Edge, times: np.ndarray) -> Tr
     return run_quench(spec, zero_mode_tol=cfg.zero_mode_tol)
 
 
-def _run_spectrum(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    rows = spectrum_sweep(
+def _run_sweep(cfg: ScenarioConfig, out: Path, *, labeled: bool) -> list[Path]:
+    sweep = spectrum_sweep(
         scenario_lattice(cfg, cfg.v_initial),
         scenario_v_grid(cfg),
         threshold=cfg.threshold,
         threads=thread_count(),
     )
-    labeled = match_branches(rows)
-    csv_rows = [
-        [_fmt(r.v_over_w), str(r.index), str(r.branch), _fmt(r.re_e), _fmt(r.im_e),
-         _fmt(r.com), r.side.value]
-        for r in labeled
-    ]
-    return [_write_csv(out / "spectrum.csv", "v_over_w,index,branch,re_e,im_e,com,side", csv_rows)]
-
-
-def _run_reshuffle(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    rows = spectrum_sweep(
-        scenario_lattice(cfg, cfg.v_initial),
-        scenario_v_grid(cfg),
-        threshold=cfg.threshold,
-        threads=thread_count(),
-    )
-    csv_rows = [
-        [_fmt(r.v_over_w), str(r.index), _fmt(r.re_e), _fmt(r.im_e), _fmt(r.com),
-         r.side.value]
-        for r in rows
-    ]
-    return [_write_csv(out / "reshuffle.csv", "v_over_w,index,re_e,im_e,com,side", csv_rows)]
+    branch = match_branches(sweep) if labeled else None
+    return [_write_sweep(out / f"{cfg.scenario}.csv", sweep, branch)]
 
 
 def _run_lightcone(cfg: ScenarioConfig, out: Path) -> list[Path]:
@@ -381,12 +374,8 @@ def compute_ratio_sweep(cfg: ScenarioConfig) -> list[RatioRow]:
     def at(ratio: float) -> RatioRow:
         h_final = build_hamiltonian(scenario_lattice(cfg, ratio))
         es = eigendecompose(h_final)
-        if es.near_defective:
-            traj_left = evolve_propagator(h_final, psi_left, times)
-            traj_right = evolve_propagator(h_final, psi_right, times)
-        else:
-            traj_left = evolve_spectral(es, psi_left, times)
-            traj_right = evolve_spectral(es, psi_right, times)
+        traj_left = evolve(h_final, es, psi_left, times)
+        traj_right = evolve(h_final, es, psi_right, times)
         rho_left_half, _ = bipartite_norms(traj_left.states[-1], split)
         _, rho_right_half = bipartite_norms(traj_right.states[-1], split)
         if rho_left_half == 0.0:
@@ -433,11 +422,11 @@ def _run_ratio_sweep(cfg: ScenarioConfig, out: Path) -> list[Path]:
 
 
 _RUNNERS = {
-    "spectrum": _run_spectrum,
+    "spectrum": partial(_run_sweep, labeled=True),
     "lightcone": _run_lightcone,
     "bipartite": _run_bipartite,
     "ratio-sweep": _run_ratio_sweep,
-    "reshuffle": _run_reshuffle,
+    "reshuffle": partial(_run_sweep, labeled=False),
 }
 
 

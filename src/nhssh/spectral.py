@@ -4,7 +4,7 @@ parameter-space spectrum sweeps, branch tracking, and exceptional-point location
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,7 +23,7 @@ __all__ = [
     "NearDefectiveError",
     "Eigensystem",
     "eigendecompose",
-    "SpectrumSweepRow",
+    "Sweep",
     "spectrum_sweep",
     "EpKind",
     "EpResult",
@@ -69,6 +69,18 @@ class Eigensystem:
         return self.eigenvalues.shape[0]
 
 
+def _sorted_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and right eigenvectors, sorted ascending by (Re E, Im E)."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if not np.all(np.isfinite(h.view(float))):
+        raise ValueError("matrix entries must be finite")
+    eigenvalues, right = np.linalg.eig(h)
+    order = np.lexsort((eigenvalues.imag, eigenvalues.real))
+    return eigenvalues[order], right[:, order]
+
+
 def eigendecompose(
     h: np.ndarray, condition_ceiling: float = DEFAULT_CONDITION_CEILING
 ) -> Eigensystem:
@@ -78,17 +90,7 @@ def eigendecompose(
     number exceeds ``condition_ceiling``; callers evolving states must then
     fall back to the step-propagator route.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h.view(float))):
-        raise ValueError("matrix entries must be finite")
-
-    eigenvalues, right = np.linalg.eig(h)
-    order = np.lexsort((eigenvalues.imag, eigenvalues.real))
-    eigenvalues = eigenvalues[order]
-    right = right[:, order]
-
+    eigenvalues, right = _sorted_eig(h)
     try:
         inverse = np.linalg.inv(right)
         condition = float(np.linalg.cond(right))
@@ -98,7 +100,7 @@ def eigendecompose(
         condition = float(np.inf)
     left = inverse.conj().T
     completeness = float(
-        np.linalg.norm(right @ inverse - np.eye(h.shape[0]), ord=2)
+        np.linalg.norm(right @ inverse - np.eye(right.shape[0]), ord=2)
     )
     return Eigensystem(
         eigenvalues=eigenvalues,
@@ -110,18 +112,22 @@ def eigendecompose(
     )
 
 
-@dataclass(frozen=True)
-class SpectrumSweepRow:
-    """One eigenvalue record at one grid point of a v/w sweep."""
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Eigenvalues, centers of mass and side classes on a v/w grid.
 
-    v_over_w: float
-    index: int
-    re_e: float
-    im_e: float
-    com: float
-    side: Side
-    near_defective: bool = False
-    branch: int | None = None
+    Row g of each (G, n) array belongs to grid point ``v_over_w[g]``; column n
+    is the n-th eigenvalue in ascending (Re E, Im E) order at that point.
+    ``side`` holds ``Side`` members. ``len`` counts table rows, G * n.
+    """
+
+    v_over_w: np.ndarray
+    eigenvalues: np.ndarray
+    com: np.ndarray
+    side: np.ndarray
+
+    def __len__(self) -> int:
+        return self.eigenvalues.size
 
 
 def spectrum_sweep(
@@ -129,14 +135,12 @@ def spectrum_sweep(
     v_grid: "list[float] | np.ndarray",
     *,
     threshold: float = DEFAULT_SIDE_THRESHOLD,
-    condition_ceiling: float = DEFAULT_CONDITION_CEILING,
     threads: int = 1,
-) -> list[SpectrumSweepRow]:
+) -> Sweep:
     """Eigenvalues, centers of mass and side classes across a v/w grid.
 
     Grid entries are ratios v/w; the template's hoppings other than v are kept.
-    Ill-conditioned grid points are tagged on their rows instead of aborting
-    the sweep.
+    Only the sorted eigenpairs are computed: no left basis or conditioning.
     """
     grid = [float(r) for r in v_grid]
     if not grid:
@@ -145,27 +149,20 @@ def spectrum_sweep(
         raise ValueError("v_grid must be strictly increasing")
     center = reference_center(template)
 
-    def rows_at(ratio: float) -> list[SpectrumSweepRow]:
-        config = template.with_v(ratio * template.w)
-        es = eigendecompose(build_hamiltonian(config), condition_ceiling)
-        rows = []
-        for i, e in enumerate(es.eigenvalues):
-            com = center_of_mass(es.right_vectors[:, i])
-            rows.append(
-                SpectrumSweepRow(
-                    v_over_w=ratio,
-                    index=i,
-                    re_e=float(e.real),
-                    im_e=float(e.imag),
-                    com=com,
-                    side=classify_side(com, center, threshold),
-                    near_defective=es.near_defective,
-                )
-            )
-        return rows
+    def at(ratio: float) -> tuple[np.ndarray, list[float], list[Side]]:
+        eigenvalues, right = _sorted_eig(
+            build_hamiltonian(template.with_v(ratio * template.w))
+        )
+        com = [center_of_mass(right[:, i]) for i in range(right.shape[1])]
+        return eigenvalues, com, [classify_side(c, center, threshold) for c in com]
 
-    blocks = thread_map(rows_at, grid, threads)
-    return [row for block in blocks for row in block]
+    eigenvalues, com, side = zip(*thread_map(at, grid, threads))
+    return Sweep(
+        v_over_w=np.array(grid),
+        eigenvalues=np.array(eigenvalues),
+        com=np.array(com),
+        side=np.array(side, dtype=object),
+    )
 
 
 class EpKind(Enum):
@@ -182,76 +179,58 @@ class EpResult:
     v_star: float | None = None
 
 
-def _group_by_grid_point(
-    sweep: list[SpectrumSweepRow],
-) -> list[tuple[float, list[SpectrumSweepRow]]]:
-    groups: list[tuple[float, list[SpectrumSweepRow]]] = []
-    for row in sweep:
-        if not groups or groups[-1][0] != row.v_over_w:
-            groups.append((row.v_over_w, []))
-        groups[-1][1].append(row)
-    return groups
-
-
-def ep_locate(sweep: list[SpectrumSweepRow], tol: float = DEFAULT_EP_TOL) -> EpResult:
+def ep_locate(sweep: Sweep, tol: float = DEFAULT_EP_TOL) -> EpResult:
     """First grid point, scanning upward in v/w, where max |Im E| drops below tol.
 
     Returns ALWAYS_REAL when already below tol at the first grid point, and
     NEVER_MERGES when no grid point qualifies.
     """
-    groups = _group_by_grid_point(sweep)
-    if not groups:
-        raise ValueError("sweep is empty")
-    for k, (ratio, rows) in enumerate(groups):
-        if max(abs(row.im_e) for row in rows) < tol:
-            if k == 0:
-                return EpResult(EpKind.ALWAYS_REAL)
-            return EpResult(EpKind.MERGED, v_star=ratio)
-    return EpResult(EpKind.NEVER_MERGES)
+    below = np.flatnonzero(np.max(np.abs(sweep.eigenvalues.imag), axis=1) < tol)
+    if below.size == 0:
+        return EpResult(EpKind.NEVER_MERGES)
+    if below[0] == 0:
+        return EpResult(EpKind.ALWAYS_REAL)
+    return EpResult(EpKind.MERGED, v_star=float(sweep.v_over_w[below[0]]))
 
 
-def match_branches(sweep: list[SpectrumSweepRow]) -> list[SpectrumSweepRow]:
-    """Assign continuity branch labels across grid points.
+def _greedy_match(prev_e: np.ndarray, cur_e: np.ndarray) -> np.ndarray:
+    """Index at the previous point matched to each current index.
+
+    The greedy rule takes the (distance, previous index, current index) pairs
+    in ascending order and keeps each pair whose two ends are both free. A
+    pair that is the first of its row and of its column among the free ones
+    is kept by that rule, so whole rounds of such mutual nearest pairs are
+    taken at once; the result is the same matching.
+    """
+    dist = np.abs(cur_e[np.newaxis, :] - prev_e[:, np.newaxis])
+    rows = np.arange(prev_e.size)
+    cols = np.arange(prev_e.size)
+    matched = np.empty(prev_e.size, dtype=int)
+    while rows.size:
+        free = dist[np.ix_(rows, cols)]
+        # argmin returns the first minimum: the smaller index wins ties.
+        best_col = np.argmin(free, axis=1)
+        mutual = np.argmin(free, axis=0)[best_col] == np.arange(rows.size)
+        matched[cols[best_col[mutual]]] = rows[mutual]
+        rows = rows[~mutual]
+        cols = np.delete(cols, best_col[mutual])
+    return matched
+
+
+def match_branches(sweep: Sweep) -> np.ndarray:
+    """Continuity branch labels, a (G, n) int array aligned with the sweep.
 
     Greedy nearest-neighbour matching in the complex eigenvalue plane between
     consecutive grid points; ties resolve by smallest index first, so the
-    assignment is a deterministic bijection at every step.
+    assignment is a deterministic bijection at every step. Labels at the
+    first grid point are the eigenvalue indices.
     """
-    groups = _group_by_grid_point(sweep)
-    if not groups:
-        return []
-    dim = len(groups[0][1])
-    if any(len(rows) != dim for _, rows in groups):
-        raise ValueError("every grid point must carry the same eigenvalue count")
-
-    labeled: list[SpectrumSweepRow] = [
-        replace(row, branch=i) for i, row in enumerate(groups[0][1])
-    ]
-    prev_e = np.array([complex(r.re_e, r.im_e) for r in groups[0][1]])
-    prev_branch = list(range(dim))
-
-    for _, rows in groups[1:]:
-        cur_e = np.array([complex(r.re_e, r.im_e) for r in rows])
-        dist = np.abs(cur_e[np.newaxis, :] - prev_e[:, np.newaxis])
-        i_idx, j_idx = np.divmod(np.arange(dim * dim), dim)
-        order = np.lexsort((j_idx, i_idx, dist.ravel()))
-        used_prev = np.zeros(dim, dtype=bool)
-        used_cur = np.zeros(dim, dtype=bool)
-        branch = [0] * dim
-        assigned = 0
-        for flat in order:
-            i, j = int(i_idx[flat]), int(j_idx[flat])
-            if used_prev[i] or used_cur[j]:
-                continue
-            used_prev[i] = used_cur[j] = True
-            branch[j] = prev_branch[i]
-            assigned += 1
-            if assigned == dim:
-                break
-        labeled.extend(replace(row, branch=branch[j]) for j, row in enumerate(rows))
-        prev_e = cur_e
-        prev_branch = branch
-    return labeled
+    eigenvalues = sweep.eigenvalues
+    branch = np.empty(eigenvalues.shape, dtype=int)
+    branch[0] = np.arange(eigenvalues.shape[1])
+    for g in range(1, eigenvalues.shape[0]):
+        branch[g] = branch[g - 1][_greedy_match(eigenvalues[g - 1], eigenvalues[g])]
+    return branch
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ reflection-ratio sweeps are shared module-scoped fixtures.
 """
 
 import filecmp
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,10 +46,18 @@ def ratio_sweeps():
 
 @pytest.fixture(scope="module")
 def broken_branch_sweep():
-    """Branch-labeled sweep of the off-center placement from 1.125 to 1.5."""
+    """Branch-labeled sweep of the off-center placement from 1.125 to 1.5,
+    one record per (grid point, eigenvalue)."""
     template = flagship_config(0.25, region=BROKEN_REGION)
     grid = [1.125 + 0.025 * k for k in range(16)]
-    return match_branches(spectrum_sweep(template, grid))
+    sweep = spectrum_sweep(template, grid)
+    branch = match_branches(sweep)
+    return [
+        SimpleNamespace(v_over_w=v, branch=b, im_e=e.imag, side=side)
+        for g, v in enumerate(sweep.v_over_w.tolist())
+        for b, e, side in zip(branch[g].tolist(), sweep.eigenvalues[g].tolist(),
+                              sweep.side[g])
+    ]
 
 
 def _ratio_at(rows, v):

@@ -215,6 +215,17 @@ def test_reshuffle_scenario_output(tmp_path):
     assert len(lines) == 1 + 2 * 20
 
 
+def test_reshuffle_is_spectrum_without_branch_column(tmp_path):
+    grid = dict(v_grid_start=0.5, v_grid_stop=1.5, v_grid_step=0.5)
+    run_scenario(ScenarioConfig(**dict(TINY_SCENARIOS["spectrum"], **grid),
+                                output_dir=str(tmp_path)))
+    run_scenario(ScenarioConfig(**dict(TINY_SCENARIOS["reshuffle"], **grid),
+                                output_dir=str(tmp_path)))
+    spectrum = [line.split(",") for line in read_lines(tmp_path / "spectrum.csv")]
+    reshuffle = [line.split(",") for line in read_lines(tmp_path / "reshuffle.csv")]
+    assert reshuffle == [cells[:2] + cells[3:] for cells in spectrum]
+
+
 def test_scenarios_are_deterministic(tmp_path):
     for scenario in TINY_SCENARIOS:
         out_a = tmp_path / f"{scenario}-a"
@@ -295,6 +306,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                      "--set", "region_start=999"])
     assert code == 2
     assert "region_start" in capsys.readouterr().err
+
+
+def test_cli_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NHSSH_THREADS", "abc")
+    code = cli_main(tiny_args("reshuffle", tmp_path))
+    assert code == 2
+    assert "NHSSH_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "reshuffle.csv").exists()
 
 
 def test_cli_unreadable_config_exit_code(tmp_path, capsys):

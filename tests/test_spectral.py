@@ -5,7 +5,7 @@ from nhssh.lattice import LatticeConfig, build_hamiltonian
 from nhssh.spectral import (
     EpKind,
     NearDefectiveError,
-    SpectrumSweepRow,
+    Sweep,
     eigendecompose,
     ep_locate,
     match_branches,
@@ -94,20 +94,28 @@ def test_near_defective_flag_and_rejection():
 
 
 def test_sweep_empty_region_all_real():
-    rows = spectrum_sweep(LatticeConfig(n_cells=6, v=0.5), [0.3, 0.6, 0.9])
-    assert all(abs(r.im_e) < 1e-12 for r in rows)
+    sweep = spectrum_sweep(LatticeConfig(n_cells=6, v=0.5), [0.3, 0.6, 0.9])
+    assert all(abs(im_e) < 1e-12 for im_e in sweep.eigenvalues.imag.ravel())
 
 
 def test_sweep_rows_ordering_and_determinism():
     template = LatticeConfig(n_cells=10, v=0.25, region_start=9, region_end=12,
                              u_re=0.75, u_im=0.75)
     grid = [0.5, 1.0, 1.5]
-    rows_a = spectrum_sweep(template, grid)
-    rows_b = spectrum_sweep(template, grid)
-    assert rows_a == rows_b
-    assert [(r.v_over_w, r.index) for r in rows_a] == [
-        (v, i) for v in grid for i in range(20)
-    ]
+    sweep_a = spectrum_sweep(template, grid)
+    sweep_b = spectrum_sweep(template, grid)
+    for name in ("v_over_w", "eigenvalues", "com", "side"):
+        assert np.array_equal(getattr(sweep_a, name), getattr(sweep_b, name))
+    assert sweep_a.v_over_w.tolist() == grid
+    for table in (sweep_a.eigenvalues, sweep_a.com, sweep_a.side):
+        assert table.shape == (len(grid), 20)
+    assert len(sweep_a) == len(grid) * 20
+
+
+def test_sweep_eigenvalues_match_eigendecompose():
+    sweep = spectrum_sweep(flagship_config(0.25), [1.125])
+    es = eigendecompose(build_hamiltonian(flagship_config(1.125)))
+    assert np.array_equal(sweep.eigenvalues[0], es.eigenvalues)
 
 
 def test_sweep_rejects_bad_grid():
@@ -119,10 +127,9 @@ def test_sweep_rejects_bad_grid():
 
 
 def test_flagship_imaginary_trail_collapses_near_gap_closure():
-    rows = spectrum_sweep(flagship_config(0.25), [0.9, 1.2])
-    max_im = {}
-    for r in rows:
-        max_im[r.v_over_w] = max(max_im.get(r.v_over_w, 0.0), abs(r.im_e))
+    sweep = spectrum_sweep(flagship_config(0.25), [0.9, 1.2])
+    max_im = dict(zip(sweep.v_over_w.tolist(),
+                      np.max(np.abs(sweep.eigenvalues.imag), axis=1)))
     assert max_im[0.9] > 0.05
     assert max_im[1.2] < 0.005
 
@@ -137,16 +144,16 @@ def test_small_imaginary_trail_collapses_well_below_closure():
 
 def test_ep_dimer_first_grid_point_after_closed_form():
     grid = [0.1 + 0.01 * k for k in range(191)]
-    rows = spectrum_sweep(dimer_config(0.5, u_re=0.0), grid)
-    result = ep_locate(rows)
+    sweep = spectrum_sweep(dimer_config(0.5, u_re=0.0), grid)
+    result = ep_locate(sweep)
     expected = min(g for g in grid if g >= 0.75)
     assert result.kind is EpKind.MERGED
     assert result.v_star == expected
 
 
 def test_ep_always_real_for_hermitian_chain():
-    rows = spectrum_sweep(LatticeConfig(n_cells=5, v=0.5), [0.4, 0.8, 1.2])
-    assert ep_locate(rows).kind is EpKind.ALWAYS_REAL
+    sweep = spectrum_sweep(LatticeConfig(n_cells=5, v=0.5), [0.4, 0.8, 1.2])
+    assert ep_locate(sweep).kind is EpKind.ALWAYS_REAL
 
 
 def test_ep_never_merges_for_broken_placement():
@@ -155,39 +162,56 @@ def test_ep_never_merges_for_broken_placement():
     assert ep_locate(spectrum_sweep(template, grid)).kind is EpKind.NEVER_MERGES
 
 
-def test_ep_empty_sweep_rejected():
-    with pytest.raises(ValueError):
-        ep_locate([])
-
-
-def _row(v, index, e, branch=None):
-    return SpectrumSweepRow(v_over_w=v, index=index, re_e=e.real, im_e=e.imag,
-                            com=1.0, side=Side.CENTER, branch=branch)
+def _sweep_of(grid, eigenvalues) -> Sweep:
+    """Sweep with the given (G, n) eigenvalues and placeholder localization."""
+    eigenvalues = np.array(eigenvalues, dtype=complex)
+    return Sweep(v_over_w=np.array(grid), eigenvalues=eigenvalues,
+                 com=np.ones(eigenvalues.shape),
+                 side=np.full(eigenvalues.shape, Side.CENTER, dtype=object))
 
 
 def test_match_branches_constant_spectrum():
     eigenvalues = [0.1 + 0.2j, 0.5, 0.9 - 0.1j]
-    sweep = [_row(v, i, e) for v in (0.1, 0.2, 0.3) for i, e in enumerate(eigenvalues)]
-    labeled = match_branches(sweep)
-    for row in labeled:
-        assert row.branch == row.index
+    branch = match_branches(_sweep_of([0.1, 0.2, 0.3], [eigenvalues] * 3))
+    for labels in branch:
+        for index, label in enumerate(labels):
+            assert label == index
+
+
+def _sorted_pair_greedy(prev_e, cur_e, prev_branch):
+    """Reference rule: take (distance, previous, current) pairs in order."""
+    dim = len(prev_e)
+    pairs = sorted((abs(cur_e[j] - prev_e[i]), i, j)
+                   for i in range(dim) for j in range(dim))
+    used_prev, used_cur, branch = set(), set(), [None] * dim
+    for _, i, j in pairs:
+        if i not in used_prev and j not in used_cur:
+            used_prev.add(i)
+            used_cur.add(j)
+            branch[j] = prev_branch[i]
+    return branch
+
+
+def test_match_branches_equals_sorted_pair_greedy():
+    # Values on a coarse lattice make many distances tie exactly.
+    rng = np.random.default_rng(5)
+    eigenvalues = (rng.integers(-3, 4, size=(6, 12))
+                   + 1j * rng.integers(-2, 3, size=(6, 12))) / 4
+    branch = match_branches(_sweep_of(np.arange(6.0), eigenvalues))
+    expected = list(range(12))
+    for g in range(1, 6):
+        expected = _sorted_pair_greedy(eigenvalues[g - 1], eigenvalues[g], expected)
+        assert branch[g].tolist() == expected
 
 
 def test_match_branches_bijection_and_determinism():
     grid = [0.5 + 0.05 * k for k in range(11)]
-    rows = spectrum_sweep(dimer_config(0.5), grid)
-    labeled_a = match_branches(rows)
-    labeled_b = match_branches(rows)
-    assert labeled_a == labeled_b
-    for v in grid:
-        branches = sorted(r.branch for r in labeled_a if r.v_over_w == v)
-        assert branches == [0, 1]
-
-
-def test_match_branches_requires_uniform_count():
-    sweep = [_row(0.1, 0, 1.0 + 0j), _row(0.1, 1, 2.0 + 0j), _row(0.2, 0, 1.0 + 0j)]
-    with pytest.raises(ValueError):
-        match_branches(sweep)
+    sweep = spectrum_sweep(dimer_config(0.5), grid)
+    labeled_a = match_branches(sweep)
+    labeled_b = match_branches(sweep)
+    assert np.array_equal(labeled_a, labeled_b)
+    for labels in labeled_a:
+        assert sorted(labels.tolist()) == [0, 1]
 
 
 def test_zero_mode_report_dimerized_limit():
