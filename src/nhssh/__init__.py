@@ -26,7 +26,6 @@ from .observables import (
     classify_side,
     default_split,
     reference_center,
-    reflection_ratio,
     site_density,
 )
 from .scenarios import (

@@ -1,8 +1,8 @@
 """Command line interface: run named scenarios and validate config files.
 
-Exit codes: 0 success, 2 config problem (parse or validation, including a
-non-integer NHSSH_THREADS), 3 simulation failure (missing edge state, failed
-propagator fallback, unwritable output).
+Exit codes: 0 success, 2 config problem (parse or validation, including an
+NHSSH_THREADS value that is not a positive integer), 3 simulation failure
+(missing edge state, failed propagator fallback, unwritable output).
 """
 
 from __future__ import annotations

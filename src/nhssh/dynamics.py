@@ -20,6 +20,7 @@ from .spectral import (
     DEFAULT_CONDITION_CEILING,
     Eigensystem,
     NearDefectiveError,
+    _sorted_eig,
     eigendecompose,
     zero_mode_report,
 )
@@ -29,10 +30,12 @@ __all__ = [
     "NoEdgeStateError",
     "Trajectory",
     "QuenchSpec",
+    "edge_states",
     "initial_edge_state",
     "evolve_spectral",
     "evolve_propagator",
     "evolve",
+    "evolve_states",
     "run_quench",
     "DEFAULT_ZERO_MODE_TOL",
     "DEFAULT_STEP_TOL",
@@ -69,16 +72,20 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class QuenchSpec:
-    """A sudden v change: initial and final configs differ only in v."""
+    """A sudden v change for the edge states in ``sides``; configs differ only in v."""
 
     initial_config: LatticeConfig
     final_config: LatticeConfig
-    side: Edge
+    sides: tuple[Edge, ...]
     times: np.ndarray
 
     def __post_init__(self) -> None:
         if replace(self.initial_config, v=0.0) != replace(self.final_config, v=0.0):
             raise ValueError("initial and final configs may differ only in v")
+        sides = tuple(self.sides)
+        if not sides or len(set(sides)) != len(sides) or not set(sides) <= set(Edge):
+            raise ValueError(f"sides must be distinct Edge members, got {self.sides!r}")
+        object.__setattr__(self, "sides", sides)
         times = np.asarray(self.times, dtype=float)
         if times.size == 0:
             raise ValueError("times must be nonempty")
@@ -89,44 +96,53 @@ class QuenchSpec:
         object.__setattr__(self, "times", times)
 
 
-def initial_edge_state(
-    h_initial: np.ndarray,
-    side: Edge,
-    zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL,
-) -> np.ndarray:
-    """Unit-norm edge state on the requested side of the chain.
+def edge_states(
+    h_initial: np.ndarray, zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL
+) -> dict[Edge, np.ndarray]:
+    """Unit-norm edge states on both sides of the chain, from one eigen step.
 
     The two near-zero eigenvectors are numerically degenerate for small v/w,
     so any individual eigenvector is an arbitrary mixture of the left and
-    right modes. Within their orthonormalized span this picks the unit vector
-    with maximal weight on the outermost cell of the chosen side, which makes
-    the selection deterministic; the global phase is fixed by making the
+    right modes. Within their orthonormalized span each side gets the unit
+    vector with maximal weight on its outermost cell, which makes the
+    selection deterministic; the global phase is fixed by making the
     largest-modulus amplitude real and positive.
     """
-    es = eigendecompose(np.asarray(h_initial, dtype=complex))
-    report = zero_mode_report(es)
+    eigenvalues, right = _sorted_eig(h_initial)
+    report = zero_mode_report(eigenvalues)
     if report.min_abs_e >= zero_mode_tol:
         raise NoEdgeStateError(
             f"no zero modes: min |E| = {report.min_abs_e:.3e} >= {zero_mode_tol:g}"
         )
     i, j = report.indices
-    q1 = es.right_vectors[:, i]
+    q1 = right[:, i]
     q1 = q1 / np.linalg.norm(q1)
-    q2 = es.right_vectors[:, j] - (q1.conj() @ es.right_vectors[:, j]) * q1
+    q2 = right[:, j] - (q1.conj() @ right[:, j]) * q1
     norm2 = np.linalg.norm(q2)
     if norm2 == 0.0:
         raise NoEdgeStateError("zero-mode eigenvectors are parallel; span collapsed")
     span = np.column_stack([q1, q2 / norm2])
 
     n = span.shape[0]
-    outer = (0, 1) if side is Edge.LEFT else (n - 2, n - 1)
-    block = span[list(outer), :]
-    # Weight on the outer cell is a 2x2 Hermitian form over the span.
-    _, vecs = np.linalg.eigh(block.conj().T @ block)
-    psi = span @ vecs[:, -1]
-    k = int(np.argmax(np.abs(psi)))
-    psi = psi * (abs(psi[k]) / psi[k])
-    return psi / np.linalg.norm(psi)
+    states = {}
+    for side, outer in ((Edge.LEFT, [0, 1]), (Edge.RIGHT, [n - 2, n - 1])):
+        block = span[outer, :]
+        # Weight on the outer cell is a 2x2 Hermitian form over the span.
+        _, vecs = np.linalg.eigh(block.conj().T @ block)
+        psi = span @ vecs[:, -1]
+        k = int(np.argmax(np.abs(psi)))
+        psi = psi * (abs(psi[k]) / psi[k])
+        states[side] = psi / np.linalg.norm(psi)
+    return states
+
+
+def initial_edge_state(
+    h_initial: np.ndarray,
+    side: Edge,
+    zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL,
+) -> np.ndarray:
+    """Unit-norm edge state on the requested side of the chain (see edge_states)."""
+    return edge_states(h_initial, zero_mode_tol)[side]
 
 
 def evolve_spectral(
@@ -246,15 +262,26 @@ def evolve(
     return evolve_spectral(es, psi0, times)
 
 
+def evolve_states(
+    h: np.ndarray,
+    states: dict[Edge, np.ndarray],
+    times: np.ndarray,
+    condition_ceiling: float = DEFAULT_CONDITION_CEILING,
+) -> dict[Edge, Trajectory]:
+    """Decompose h once and evolve every given state under it, keyed as given."""
+    es = eigendecompose(h, condition_ceiling)
+    return {side: evolve(h, es, psi0, times) for side, psi0 in states.items()}
+
+
 def run_quench(
     spec: QuenchSpec,
     *,
     zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL,
     condition_ceiling: float = DEFAULT_CONDITION_CEILING,
-) -> Trajectory:
-    """Build both Hamiltonians, prepare the edge state, evolve under the final one."""
-    h_initial = build_hamiltonian(spec.initial_config)
+) -> dict[Edge, Trajectory]:
+    """Prepare the edge states of the initial Hamiltonian and evolve the
+    requested sides under the final one, each Hamiltonian decomposed once."""
+    psi0 = edge_states(build_hamiltonian(spec.initial_config), zero_mode_tol)
+    states = {side: psi0[side] for side in spec.sides}
     h_final = build_hamiltonian(spec.final_config)
-    psi0 = initial_edge_state(h_initial, spec.side, zero_mode_tol)
-    es = eigendecompose(h_final, condition_ceiling)
-    return evolve(h_final, es, psi0, spec.times)
+    return evolve_states(h_final, states, spec.times, condition_ceiling)

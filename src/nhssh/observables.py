@@ -1,25 +1,20 @@
-"""Derived quantities: site densities, bipartite norms, reflection ratio,
-center of mass, and localization-side classification."""
+"""Derived quantities: site densities, bipartite norms, center of mass, and
+localization-side classification."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .lattice import LatticeConfig
-
-if TYPE_CHECKING:
-    from .dynamics import Trajectory
 
 __all__ = [
     "Side",
     "BipartiteSplit",
     "site_density",
     "bipartite_norms",
-    "reflection_ratio",
     "center_of_mass",
     "classify_side",
     "default_split",
@@ -76,52 +71,40 @@ def bipartite_norms(psi: np.ndarray, split: BipartiteSplit) -> tuple[float, floa
     return rho_left, rho_right
 
 
-def center_of_mass(psi: np.ndarray) -> float:
-    """Density-weighted mean site index (1-based), normalized by the total weight."""
-    rho = site_density(psi)
-    total = float(np.sum(rho))
-    if total == 0.0:
+def center_of_mass(psi: np.ndarray) -> float | np.ndarray:
+    """Density-weighted mean site index (1-based), normalized by the total weight.
+
+    A state gives a float; an (n, k) block of states, one per column, gives
+    the k centers as an array.
+    """
+    # One contiguous row per state, summed and dotted with the sites as a lone
+    # state is (a stack of (1, n) @ (n, 1) products is one dot each), so a
+    # block gives exactly the per-state values.
+    rho = np.ascontiguousarray(site_density(psi).T)
+    total = rho.sum(axis=-1)
+    if np.any(total == 0.0):
         raise ValueError("center_of_mass is undefined for a zero-norm state")
-    sites = np.arange(1, rho.shape[0] + 1)
-    return float(np.dot(sites, rho) / total)
+    sites = np.arange(1, rho.shape[-1] + 1)
+    com = (rho[..., np.newaxis, :] @ sites[:, np.newaxis])[..., 0, 0] / total
+    return float(com) if com.ndim == 0 else com
 
 
 def classify_side(
-    com: float, reference_center: float, threshold: float = DEFAULT_SIDE_THRESHOLD
-) -> Side:
+    com: float | np.ndarray,
+    reference_center: float,
+    threshold: float = DEFAULT_SIDE_THRESHOLD,
+) -> Side | np.ndarray:
     """Classify a center of mass relative to a reference point.
 
     Center wins within the threshold window, otherwise left/right by sign.
+    A float gives a ``Side``; an array of centers gives an object array of them.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    if abs(com - reference_center) < threshold:
-        return Side.CENTER
-    return Side.LEFT if com < reference_center else Side.RIGHT
-
-
-def _time_index(times: np.ndarray, t_sample: float) -> int:
-    hits = np.nonzero(np.isclose(times, t_sample, rtol=0.0, atol=1e-9))[0]
-    if hits.size == 0:
-        raise ValueError(f"t_sample={t_sample} is not on the trajectory time grid")
-    return int(hits[0])
-
-
-def reflection_ratio(
-    traj_right: "Trajectory",
-    traj_left: "Trajectory",
-    split: BipartiteSplit,
-    t_sample: float,
-) -> float:
-    """Ratio of right-reflected to left-reflected weight at one sampled time.
-
-    Takes the right-half squared norm of the right-initialized trajectory over
-    the left-half squared norm of the left-initialized trajectory.
-    """
-    idx_right = _time_index(np.asarray(traj_right.times), t_sample)
-    idx_left = _time_index(np.asarray(traj_left.times), t_sample)
-    _, rho_right = bipartite_norms(traj_right.states[idx_right], split)
-    rho_left, _ = bipartite_norms(traj_left.states[idx_left], split)
-    if rho_left == 0.0:
-        raise ZeroDivisionError("left-half norm vanishes at t_sample")
-    return rho_right / rho_left
+    com = np.asarray(com, dtype=float)
+    side = np.where(
+        np.abs(com - reference_center) < threshold,
+        Side.CENTER,
+        np.where(com < reference_center, Side.LEFT, Side.RIGHT),
+    )
+    return side[()] if side.ndim == 0 else side

@@ -23,7 +23,9 @@ def thread_count() -> int:
         n = int(raw)
     except ValueError:
         raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(1, n)
+    if n < 1:
+        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {raw!r}")
+    return n
 
 
 def thread_map(fn: Callable[[_T], _R], items: Iterable[_T], threads: int = 1) -> list[_R]:

@@ -21,8 +21,8 @@ from .dynamics import (
     Edge,
     QuenchSpec,
     Trajectory,
-    evolve,
-    initial_edge_state,
+    edge_states,
+    evolve_states,
     run_quench,
 )
 from .lattice import LatticeConfig, build_hamiltonian
@@ -30,10 +30,9 @@ from .observables import (
     DEFAULT_SIDE_THRESHOLD,
     bipartite_norms,
     default_split,
-    site_density,
 )
 from .parallel import thread_count, thread_map
-from .spectral import Sweep, eigendecompose, match_branches, spectrum_sweep
+from .spectral import Sweep, match_branches, spectrum_sweep
 
 __all__ = [
     "ConfigError",
@@ -223,25 +222,20 @@ def time_grid(cfg: ScenarioConfig) -> np.ndarray:
     return np.array([k * cfg.dt for k in range(steps + 1)])
 
 
-def _sides(cfg: ScenarioConfig) -> list[Edge]:
-    if cfg.side == "both":
-        return [Edge.LEFT, Edge.RIGHT]
-    return [Edge(cfg.side)]
-
-
 # ---------------------------------------------------------------------------
 # Output formatting
 # ---------------------------------------------------------------------------
 
+# 12 significant digits keeps golden files stable across reruns.
+_FLOAT_FORMAT = ".12g"
+
+
 def _fmt(x: float) -> str:
-    # 12 significant digits keeps golden files stable across reruns.
-    return format(float(x), ".12g")
+    return format(float(x), _FLOAT_FORMAT)
 
 
-def _write_csv(path: Path, header: str, rows: list[list[str]]) -> Path:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+def _write_csv(path: Path, header: str, rows: list[str]) -> Path:
+    path.write_bytes(("\n".join([header, *rows]) + "\n").encode("ascii"))
     return path
 
 
@@ -253,8 +247,8 @@ def _write_sweep(path: Path, sweep: Sweep, branch: np.ndarray | None = None) -> 
         cells = zip(sweep.eigenvalues[g].tolist(), sweep.com[g].tolist(), sweep.side[g])
         for i, (e, com, side) in enumerate(cells):
             label = [] if labels is None else [str(labels[g][i])]
-            rows.append([_fmt(ratio), str(i), *label, _fmt(e.real), _fmt(e.imag),
-                         _fmt(com), side.value])
+            rows.append(",".join([_fmt(ratio), str(i), *label, _fmt(e.real),
+                                  _fmt(e.imag), _fmt(com), side.value]))
     header = "v_over_w,index," + ("" if labels is None else "branch,") + "re_e,im_e,com,side"
     return _write_csv(path, header, rows)
 
@@ -293,12 +287,13 @@ def _write_heatmap(pgm_path: Path, sidecar_path: Path, traj: Trajectory) -> list
 # Scenario runners
 # ---------------------------------------------------------------------------
 
-def _run_single_quench(cfg: ScenarioConfig, side: Edge, times: np.ndarray) -> Trajectory:
+def _quench(cfg: ScenarioConfig) -> dict[Edge, Trajectory]:
+    """Trajectories of the configured sides on the scenario time grid."""
     spec = QuenchSpec(
         initial_config=scenario_lattice(cfg, cfg.v_initial),
         final_config=scenario_lattice(cfg, cfg.v_final),
-        side=side,
-        times=times,
+        sides=tuple(Edge) if cfg.side == "both" else (Edge(cfg.side),),
+        times=time_grid(cfg),
     )
     return run_quench(spec, zero_mode_tol=cfg.zero_mode_tol)
 
@@ -315,15 +310,14 @@ def _run_sweep(cfg: ScenarioConfig, out: Path, *, labeled: bool) -> list[Path]:
 
 
 def _run_lightcone(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    times = time_grid(cfg)
     outputs: list[Path] = []
-    for side in _sides(cfg):
-        traj = _run_single_quench(cfg, side, times)
-        densities = site_density(traj.states)
+    for side, traj in _quench(cfg).items():
+        densities = traj.densities.tolist()
+        sites = [str(site) for site in range(1, len(densities[0]) + 1)]
         csv_rows = [
-            [_fmt(t), str(site + 1), _fmt(densities[k, site])]
-            for k, t in enumerate(traj.times)
-            for site in range(densities.shape[1])
+            f"{t},{site},{rho:{_FLOAT_FORMAT}}"
+            for t, row in zip(map(_fmt, traj.times), densities)
+            for site, rho in zip(sites, row)
         ]
         name = f"lightcone_{side.value}"
         outputs.append(_write_csv(out / f"{name}.csv", "t,site,density", csv_rows))
@@ -334,14 +328,12 @@ def _run_lightcone(cfg: ScenarioConfig, out: Path) -> list[Path]:
 
 
 def _run_bipartite(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    times = time_grid(cfg)
     split = default_split(scenario_lattice(cfg, cfg.v_initial))
-    csv_rows: list[list[str]] = []
-    for side in _sides(cfg):
-        traj = _run_single_quench(cfg, side, times)
-        for k, t in enumerate(traj.times):
-            rho_left, rho_right = bipartite_norms(traj.states[k], split)
-            csv_rows.append([_fmt(t), _fmt(rho_left), _fmt(rho_right), side.value])
+    csv_rows: list[str] = []
+    for side, traj in _quench(cfg).items():
+        for t, psi in zip(traj.times, traj.states):
+            rho_left, rho_right = bipartite_norms(psi, split)
+            csv_rows.append(f"{_fmt(t)},{_fmt(rho_left)},{_fmt(rho_right)},{side.value}")
     return [_write_csv(out / "bipartite.csv", "t,rho_left,rho_right,side_init", csv_rows)]
 
 
@@ -362,9 +354,7 @@ def compute_ratio_sweep(cfg: ScenarioConfig) -> list[RatioRow]:
     point then costs one eigendecomposition plus two evolutions.
     """
     lattice_initial = scenario_lattice(cfg, cfg.v_initial)
-    h_initial = build_hamiltonian(lattice_initial)
-    psi_left = initial_edge_state(h_initial, Edge.LEFT, cfg.zero_mode_tol)
-    psi_right = initial_edge_state(h_initial, Edge.RIGHT, cfg.zero_mode_tol)
+    psi0 = edge_states(build_hamiltonian(lattice_initial), cfg.zero_mode_tol)
     split = default_split(lattice_initial)
     if cfg.t_sample > 0:
         times = np.array([0.0, cfg.t_sample])
@@ -372,12 +362,9 @@ def compute_ratio_sweep(cfg: ScenarioConfig) -> list[RatioRow]:
         times = np.array([0.0])
 
     def at(ratio: float) -> RatioRow:
-        h_final = build_hamiltonian(scenario_lattice(cfg, ratio))
-        es = eigendecompose(h_final)
-        traj_left = evolve(h_final, es, psi_left, times)
-        traj_right = evolve(h_final, es, psi_right, times)
-        rho_left_half, _ = bipartite_norms(traj_left.states[-1], split)
-        _, rho_right_half = bipartite_norms(traj_right.states[-1], split)
+        traj = evolve_states(build_hamiltonian(scenario_lattice(cfg, ratio)), psi0, times)
+        rho_left_half, _ = bipartite_norms(traj[Edge.LEFT].states[-1], split)
+        _, rho_right_half = bipartite_norms(traj[Edge.RIGHT].states[-1], split)
         if rho_left_half == 0.0:
             raise ZeroDivisionError(
                 f"left-half norm vanishes at v/w={ratio}, t={cfg.t_sample}"
@@ -413,8 +400,8 @@ def ratio_crossing(v_values: list[float], ratios: list[float]) -> float | None:
 def _run_ratio_sweep(cfg: ScenarioConfig, out: Path) -> list[Path]:
     rows = compute_ratio_sweep(cfg)
     csv_rows = [
-        [_fmt(r.v_over_w), _fmt(r.rho_right_init_right_half),
-         _fmt(r.rho_left_init_left_half), _fmt(r.ratio)]
+        ",".join([_fmt(r.v_over_w), _fmt(r.rho_right_init_right_half),
+                  _fmt(r.rho_left_init_left_half), _fmt(r.ratio)])
         for r in rows
     ]
     header = "v_over_w,rho_right_init_right_half,rho_left_init_left_half,ratio"

@@ -12,7 +12,6 @@ import numpy as np
 from .lattice import LatticeConfig, build_hamiltonian
 from .observables import (
     DEFAULT_SIDE_THRESHOLD,
-    Side,
     center_of_mass,
     classify_side,
     reference_center,
@@ -149,12 +148,12 @@ def spectrum_sweep(
         raise ValueError("v_grid must be strictly increasing")
     center = reference_center(template)
 
-    def at(ratio: float) -> tuple[np.ndarray, list[float], list[Side]]:
+    def at(ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         eigenvalues, right = _sorted_eig(
             build_hamiltonian(template.with_v(ratio * template.w))
         )
-        com = [center_of_mass(right[:, i]) for i in range(right.shape[1])]
-        return eigenvalues, com, [classify_side(c, center, threshold) for c in com]
+        com = center_of_mass(right)
+        return eigenvalues, com, classify_side(com, center, threshold)
 
     eigenvalues, com, side = zip(*thread_map(at, grid, threads))
     return Sweep(
@@ -242,12 +241,12 @@ class ZeroModeReport:
     indices: tuple[int, int]
 
 
-def zero_mode_report(es: Eigensystem) -> ZeroModeReport:
+def zero_mode_report(eigenvalues: np.ndarray) -> ZeroModeReport:
     """Locate the near-zero pair: min_abs_e is the larger of the two smallest
     moduli, gap_to_bulk its distance to the third-smallest modulus."""
-    if es.dim < 4:
-        raise ValueError(f"need dimension >= 4, got {es.dim}")
-    moduli = np.abs(es.eigenvalues)
+    moduli = np.abs(np.asarray(eigenvalues))
+    if moduli.shape[0] < 4:
+        raise ValueError(f"need dimension >= 4, got {moduli.shape[0]}")
     order = np.argsort(moduli, kind="stable")
     i0, i1, i2 = (int(order[k]) for k in range(3))
     return ZeroModeReport(

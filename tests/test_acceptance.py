@@ -133,7 +133,7 @@ def test_criterion_04_oracle_equivalence(flagship_initial):
 def test_criterion_05_hermitian_norm_and_light_cone():
     pure = LatticeConfig(n_cells=110, v=0.25)
     times = np.arange(0.0, 500.5, 0.5)
-    traj = run_quench(QuenchSpec(pure, pure.with_v(1.5), Edge.LEFT, times))
+    traj = run_quench(QuenchSpec(pure, pure.with_v(1.5), (Edge.LEFT,), times))[Edge.LEFT]
     norm_dev = float(np.max(np.abs(np.sum(traj.densities, axis=1) - 1.0)))
     assert norm_dev < 1e-8
     split = BipartiteSplit(110)
@@ -255,13 +255,13 @@ def test_criterion_12_broken_polarity_reversal(broken_branch_sweep):
 
 def test_criterion_13_edge_state_integrity(flagship_initial):
     config, h_initial, es = flagship_initial
-    report = zero_mode_report(es)
+    report = zero_mode_report(es.eigenvalues)
     assert report.min_abs_e < 1e-6
     # Bulk gap of the chain the zero modes belong to: the block itself pulls
     # one localized level into the gap (|E| ~ 0.083, pinned in module tests),
     # so the bulk separation is measured on the chain without the block.
     pure = eigendecompose(build_hamiltonian(config.without_region()))
-    pure_report = zero_mode_report(pure)
+    pure_report = zero_mode_report(pure.eigenvalues)
     assert pure_report.min_abs_e < 1e-6
     assert pure_report.gap_to_bulk > 0.1
     psi_left = initial_edge_state(h_initial, Edge.LEFT)

@@ -138,24 +138,36 @@ def test_evolution_linearity(scale):
 def test_mirror_symmetric_trajectories_for_pure_chain():
     config = LatticeConfig(n_cells=30, v=0.25)
     times = np.arange(0.0, 40.5, 0.5)
-    traj_l = run_quench(QuenchSpec(config, config.with_v(1.5), Edge.LEFT, times))
-    traj_r = run_quench(QuenchSpec(config, config.with_v(1.5), Edge.RIGHT, times))
+    traj = run_quench(QuenchSpec(config, config.with_v(1.5), (Edge.LEFT, Edge.RIGHT), times))
+    traj_l, traj_r = traj[Edge.LEFT], traj[Edge.RIGHT]
     assert np.max(np.abs(traj_l.densities - traj_r.densities[:, ::-1])) < 1e-8
+
+
+def test_run_quench_both_sides_equals_single_side_runs():
+    config = small_pt_config(0.25)
+    times = np.arange(0.0, 10.5, 0.5)
+    both = run_quench(QuenchSpec(config, config.with_v(1.3), (Edge.LEFT, Edge.RIGHT), times))
+    assert list(both) == [Edge.LEFT, Edge.RIGHT]
+    for side in Edge:
+        single = run_quench(QuenchSpec(config, config.with_v(1.3), (side,), times))
+        assert list(single) == [side]
+        assert np.array_equal(both[side].times, single[side].times)
+        assert np.array_equal(both[side].states, single[side].states)
 
 
 def test_quench_onto_same_config_is_stationary():
     config = small_pt_config(0.25)
     times = np.arange(0.0, 20.5, 0.5)
-    traj = run_quench(QuenchSpec(config, config, Edge.LEFT, times))
+    traj = run_quench(QuenchSpec(config, config, (Edge.LEFT,), times))[Edge.LEFT]
     assert np.max(np.abs(traj.densities - traj.densities[0])) < 1e-8
 
 
 def test_run_quench_falls_back_to_propagator():
     config = small_pt_config(0.25)
-    spec = QuenchSpec(config, config.with_v(1.3), Edge.LEFT,
+    spec = QuenchSpec(config, config.with_v(1.3), (Edge.LEFT,),
                       np.arange(0.0, 10.5, 0.5))
-    default_route = run_quench(spec)
-    forced_fallback = run_quench(spec, condition_ceiling=1.0)
+    default_route = run_quench(spec)[Edge.LEFT]
+    forced_fallback = run_quench(spec, condition_ceiling=1.0)[Edge.LEFT]
     assert np.max(np.abs(default_route.densities - forced_fallback.densities)) < 1e-8
 
 
@@ -164,13 +176,16 @@ def test_quench_spec_validation():
     other_region = LatticeConfig(n_cells=30, v=1.0, region_start=27,
                                  region_end=30, u_re=0.75, u_im=0.75)
     with pytest.raises(ValueError):
-        QuenchSpec(config, other_region, Edge.LEFT, np.array([0.0, 1.0]))
+        QuenchSpec(config, other_region, (Edge.LEFT,), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        QuenchSpec(config, config.with_v(1.0), Edge.LEFT, np.array([1.0, 0.5]))
+        QuenchSpec(config, config.with_v(1.0), (Edge.LEFT,), np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
-        QuenchSpec(config, config.with_v(1.0), Edge.LEFT, np.array([-1.0, 0.5]))
+        QuenchSpec(config, config.with_v(1.0), (Edge.LEFT,), np.array([-1.0, 0.5]))
     with pytest.raises(ValueError):
-        QuenchSpec(config, config.with_v(1.0), Edge.LEFT, np.array([]))
+        QuenchSpec(config, config.with_v(1.0), (Edge.LEFT,), np.array([]))
+    for sides in ((), (Edge.LEFT, Edge.LEFT), ("left",)):
+        with pytest.raises(ValueError):
+            QuenchSpec(config, config.with_v(1.0), sides, np.array([0.0, 1.0]))
 
 
 def test_trajectory_densities_match_states():

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nhssh.dynamics import Edge, QuenchSpec, Trajectory, run_quench
 from nhssh.lattice import LatticeConfig
 from nhssh.observables import (
     BipartiteSplit,
@@ -14,7 +13,6 @@ from nhssh.observables import (
     classify_side,
     default_split,
     reference_center,
-    reflection_ratio,
     site_density,
 )
 
@@ -111,42 +109,20 @@ def test_classify_side_total_and_consistent(com, center, threshold):
         assert side is Side.RIGHT
 
 
-def test_reflection_ratio_symmetric_chain_is_unity():
-    config = LatticeConfig(n_cells=30, v=0.25)
-    times = np.arange(0.0, 20.5, 0.5)
-    traj_l = run_quench(QuenchSpec(config, config.with_v(1.5), Edge.LEFT, times))
-    traj_r = run_quench(QuenchSpec(config, config.with_v(1.5), Edge.RIGHT, times))
-    ratio = reflection_ratio(traj_r, traj_l, default_split(config), 20.0)
-    assert ratio == pytest.approx(1.0, abs=1e-6)
-
-
-def test_reflection_ratio_mirror_inversion():
-    from dataclasses import replace
-
-    base = LatticeConfig(n_cells=30, v=0.25, region_start=29, region_end=32,
-                         u_re=0.75, u_im=0.75)
-    times = np.arange(0.0, 40.5, 0.5)
-
-    def ratio_for(config):
-        traj_l = run_quench(QuenchSpec(config, config.with_v(1.3), Edge.LEFT, times))
-        traj_r = run_quench(QuenchSpec(config, config.with_v(1.3), Edge.RIGHT, times))
-        return reflection_ratio(traj_r, traj_l, default_split(config), 40.0)
-
-    ratio = ratio_for(base)
-    mirrored = ratio_for(replace(base, u_im=-base.u_im))
-    assert ratio * mirrored == pytest.approx(1.0, abs=1e-6)
-
-
-def test_reflection_ratio_missing_sample_time():
-    traj = Trajectory(times=np.array([0.0, 1.0]),
-                      states=np.ones((2, 4), dtype=complex))
+def test_center_of_mass_block_equals_per_column_calls(rng):
+    h = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+    _, block = np.linalg.eig(h)
+    for layout in (block, np.asfortranarray(block), np.ascontiguousarray(block)):
+        com = center_of_mass(layout)
+        assert com.shape == (30,)
+        assert com.tolist() == [center_of_mass(block[:, i]) for i in range(30)]
     with pytest.raises(ValueError):
-        reflection_ratio(traj, traj, BipartiteSplit(2), 0.5)
+        center_of_mass(np.column_stack([block[:, 0], np.zeros(30)]))
 
 
-def test_reflection_ratio_zero_denominator():
-    states = np.zeros((1, 4), dtype=complex)
-    states[0, 3] = 1.0  # all weight on the right half
-    traj = Trajectory(times=np.array([0.0]), states=states)
-    with pytest.raises(ZeroDivisionError):
-        reflection_ratio(traj, traj, BipartiteSplit(2), 0.0)
+def test_classify_side_array_equals_scalar_calls():
+    com = np.array([50.0, 110.0, 110.5, 111.0, 110.9, 200.0])
+    side = classify_side(com, 110.5, 0.5)
+    assert side.tolist() == [classify_side(c, 110.5, 0.5) for c in com.tolist()]
+    assert side.tolist() == [Side.LEFT, Side.LEFT, Side.CENTER, Side.RIGHT,
+                             Side.CENTER, Side.RIGHT]

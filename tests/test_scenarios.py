@@ -1,9 +1,11 @@
 import filecmp
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nhssh import dynamics, scenarios
 from nhssh.cli import main as cli_main
 from nhssh.scenarios import (
     ConfigError,
@@ -259,13 +261,14 @@ def test_golden_files(scenario, tmp_path):
 
 
 def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
-    out_a = tmp_path / "seq"
-    monkeypatch.setenv("NHSSH_THREADS", "1")
-    run_scenario(tiny_config("spectrum", out_a))
-    out_b = tmp_path / "par"
-    monkeypatch.setenv("NHSSH_THREADS", "4")
-    run_scenario(tiny_config("spectrum", out_b))
-    assert filecmp.cmp(out_a / "spectrum.csv", out_b / "spectrum.csv", shallow=False)
+    for scenario in ("spectrum", "lightcone", "ratio-sweep"):
+        runs = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("NHSSH_THREADS", threads)
+            runs.append(run_scenario(tiny_config(scenario, tmp_path / scenario / threads)))
+        assert [f.name for f in runs[0]] == [f.name for f in runs[1]]
+        for fa, fb in zip(*runs):
+            assert filecmp.cmp(fa, fb, shallow=False), f"{scenario}: {fa.name} differs"
 
 
 def test_ratio_crossing_detector():
@@ -280,6 +283,47 @@ def test_compute_ratio_sweep_rows_match_grid(tmp_path):
     cfg = tiny_config("ratio-sweep", tmp_path)
     rows = compute_ratio_sweep(cfg)
     assert [r.v_over_w for r in rows] == pytest.approx([1.0, 1.25, 1.5])
+
+
+def single_point_ratio_config(v_final: float, t_sample: float, **lattice) -> ScenarioConfig:
+    """60-site ratio sweep from v/w = 0.25 with one final grid point."""
+    return ScenarioConfig(scenario="ratio-sweep", n_cells=30, v_initial=0.25,
+                          v_grid_start=v_final, v_grid_stop=v_final,
+                          t_sample=t_sample, **lattice)
+
+
+def test_ratio_sweep_symmetric_chain_is_unity():
+    cfg = single_point_ratio_config(1.5, 20.0, region_start=None, region_end=None)
+    [row] = compute_ratio_sweep(cfg)
+    assert row.ratio == pytest.approx(1.0, abs=1e-6)
+
+
+def test_ratio_sweep_mirror_inversion():
+    cfg = single_point_ratio_config(1.3, 40.0, region_start=29, region_end=32,
+                                    u_re=0.75, u_im=0.75)
+    [row] = compute_ratio_sweep(cfg)
+    [mirrored] = compute_ratio_sweep(replace(cfg, u_im=-cfg.u_im))
+    assert row.ratio * mirrored.ratio == pytest.approx(1.0, abs=1e-6)
+
+
+def test_ratio_sweep_zero_denominator(tmp_path, monkeypatch):
+    # All weight on the right half: the left-half norm in the denominator is 0.
+    monkeypatch.setattr(scenarios, "bipartite_norms", lambda psi, split: (0.0, 1.0))
+    with pytest.raises(ZeroDivisionError):
+        compute_ratio_sweep(tiny_config("ratio-sweep", tmp_path))
+
+
+def test_bipartite_both_sides_decomposes_each_matrix_once(tmp_path, monkeypatch):
+    calls = []
+    real_eig = np.linalg.eig
+
+    def counting_eig(h):
+        calls.append(h.shape)
+        return real_eig(h)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    run_scenario(tiny_config("bipartite", tmp_path))
+    assert len(calls) == 2  # H_initial and H_final, shared by both sides
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +353,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 def test_cli_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NHSSH_THREADS", "abc")
-    code = cli_main(tiny_args("reshuffle", tmp_path))
-    assert code == 2
-    assert "NHSSH_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "reshuffle.csv").exists()
+    config = tmp_path / "empty.cfg"
+    config.write_text("")
+    for raw in ("abc", "0", "-3"):
+        monkeypatch.setenv("NHSSH_THREADS", raw)
+        assert cli_main(tiny_args("reshuffle", tmp_path)) == 2, raw
+        assert "NHSSH_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "reshuffle.csv").exists()
+        assert cli_main(["validate", "--config", str(config)]) == 2, raw
+        assert "NHSSH_THREADS" in capsys.readouterr().err
 
 
 def test_cli_unreadable_config_exit_code(tmp_path, capsys):
@@ -330,6 +378,28 @@ def test_cli_simulation_error_exit_code(tmp_path, capsys):
                      "--set", "t_max=5"])
     assert code == 3
     assert "lightcone" in capsys.readouterr().err
+
+
+def test_cli_linalg_error_exit_code(tmp_path, capsys, monkeypatch):
+    def failing_eig(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    assert cli_main(tiny_args("lightcone", tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert "lightcone" in err and "did not converge" in err
+
+
+def test_cli_propagator_halving_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # Every eigenbasis is flagged near-defective, so the propagator route runs,
+    # and no truncated series ever meets its tail bound.
+    real_eigendecompose = dynamics.eigendecompose
+    monkeypatch.setattr(dynamics, "eigendecompose", lambda *args: replace(
+        real_eigendecompose(*args), near_defective=True))
+    monkeypatch.setattr(dynamics, "_taylor_exp", lambda b, tol: None)
+    assert cli_main(tiny_args("lightcone", tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert "lightcone" in err and "halving failed to converge" in err
 
 
 def test_cli_validate(tmp_path, capsys):

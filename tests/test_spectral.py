@@ -216,27 +216,27 @@ def test_match_branches_bijection_and_determinism():
 
 def test_zero_mode_report_dimerized_limit():
     es = eigendecompose(build_hamiltonian(LatticeConfig(n_cells=3, v=0.0)))
-    report = zero_mode_report(es)
+    report = zero_mode_report(es.eigenvalues)
     assert report.min_abs_e < 1e-12
     np.testing.assert_allclose(report.gap_to_bulk, 1.0, atol=1e-12)
 
 
 def test_zero_mode_report_flagship(flagship_initial):
     _, _, es = flagship_initial
-    report = zero_mode_report(es)
+    report = zero_mode_report(es.eigenvalues)
     assert report.min_abs_e < 1e-6
     # The block pulls one localized level into the gap at |E| ~ 0.083; the
     # chain without the block keeps the full gap to the bulk bands.
     np.testing.assert_allclose(report.gap_to_bulk, 0.08299, atol=2e-3)
     pure = eigendecompose(build_hamiltonian(LatticeConfig(n_cells=110, v=0.25)))
-    assert zero_mode_report(pure).gap_to_bulk > 0.1
+    assert zero_mode_report(pure.eigenvalues).gap_to_bulk > 0.1
 
 
 def test_zero_mode_report_absent_beyond_transition():
     es = eigendecompose(build_hamiltonian(flagship_config(1.5)))
-    assert zero_mode_report(es).min_abs_e > 0.1
+    assert zero_mode_report(es.eigenvalues).min_abs_e > 0.1
 
 
 def test_zero_mode_report_needs_dimension_four():
     with pytest.raises(ValueError):
-        zero_mode_report(eigendecompose(build_hamiltonian(dimer_config(0.5))))
+        zero_mode_report(eigendecompose(build_hamiltonian(dimer_config(0.5))).eigenvalues)
