@@ -2,14 +2,19 @@
 
 Results are collected in submission order, so output never depends on the
 schedule. The thread count comes from the NHSSH_THREADS environment variable
-(default 1, i.e. plain sequential loops).
+(default 1, i.e. plain sequential loops). For the whole map, numpy's OpenBLAS
+runs on one thread, so the workers are the only parallelism and serial and
+threaded maps compute the same bits.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, TypeVar
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, TypeVar
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -28,10 +33,59 @@ def thread_count() -> int:
     return n
 
 
+@functools.cache
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of numpy's OpenBLAS, or None if not exported.
+
+    dlsym on numpy's linalg extension also searches the libraries it links.
+    """
+    import ctypes
+
+    import numpy as np
+
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    # numpy 2.x wheels bundle scipy-openblas with 64-bit integers: try that first.
+    for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+        try:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block on one BLAS thread; restore the previous count after.
+
+    The count is process-wide: maps overlapping in time would undo each
+    other's pin, and nhssh never overlaps them.
+    """
+    api = _blas_threads()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def thread_map(fn: Callable[[_T], _R], items: Iterable[_T], threads: int = 1) -> list[_R]:
-    """Apply fn to every item, in order, on up to `threads` worker threads."""
+    """Apply fn to every item, in order, on up to `threads` worker threads,
+    each of fn's BLAS calls on one BLAS thread."""
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    with _one_blas_thread():
+        if threads <= 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))

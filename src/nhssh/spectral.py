@@ -53,7 +53,10 @@ class Eigensystem:
     ``eigenvalues[n]``; column n of ``left_vectors`` is the paired left
     eigenvector, built from the inverse of the right-vector matrix so that
     <phi_m|psi_n> = delta_mn and sum_n |psi_n><phi_n| = I hold by construction.
-    Conditioning of that inverse is reported instead of being hidden.
+    Conditioning of that inverse is reported instead of being hidden:
+    ``condition`` is the 1-norm condition number ||R||_1 ||R^-1||_1 of the
+    right-vector matrix R, and ``completeness_residual`` is the Frobenius norm
+    of R R^-1 - I, an upper bound on its 2-norm.
     """
 
     eigenvalues: np.ndarray
@@ -85,22 +88,20 @@ def eigendecompose(
 ) -> Eigensystem:
     """Full dense eigendecomposition, sorted ascending by (Re E, Im E).
 
-    The ``near_defective`` flag is set when the right-vector matrix condition
-    number exceeds ``condition_ceiling``; callers evolving states must then
-    fall back to the step-propagator route.
+    The ``near_defective`` flag is set when the right-vector matrix 1-norm
+    condition number exceeds ``condition_ceiling``; callers evolving states
+    must then fall back to the step-propagator route.
     """
     eigenvalues, right = _sorted_eig(h)
     try:
         inverse = np.linalg.inv(right)
-        condition = float(np.linalg.cond(right))
+        condition = float(np.linalg.norm(right, 1) * np.linalg.norm(inverse, 1))
     except np.linalg.LinAlgError:
         # Exactly singular right-vector matrix (defective to machine precision).
         inverse = np.linalg.pinv(right)
         condition = float(np.inf)
     left = inverse.conj().T
-    completeness = float(
-        np.linalg.norm(right @ inverse - np.eye(right.shape[0]), ord=2)
-    )
+    completeness = float(np.linalg.norm(right @ inverse - np.eye(right.shape[0])))
     return Eigensystem(
         eigenvalues=eigenvalues,
         right_vectors=right,

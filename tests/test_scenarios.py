@@ -271,6 +271,25 @@ def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
             assert filecmp.cmp(fa, fb, shallow=False), f"{scenario}: {fa.name} differs"
 
 
+def test_thread_count_does_not_change_flagship_size_sweeps(tmp_path, monkeypatch):
+    """220 sites, where a serial eig would run on several BLAS threads."""
+    grids = {
+        "spectrum": dict(v_grid_start=1.0, v_grid_stop=1.1, v_grid_step=0.1 / 3),
+        "ratio-sweep": dict(v_grid_start=1.0, v_grid_stop=1.05, v_grid_step=0.025),
+    }
+    for scenario, grid in grids.items():
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NHSSH_THREADS", threads)
+            cfg = ScenarioConfig(scenario=scenario, **grid,
+                                 output_dir=str(tmp_path / scenario / threads))
+            runs.append(run_scenario(cfg))
+        assert len(scenario_v_grid(cfg)) == {"spectrum": 4, "ratio-sweep": 3}[scenario]
+        assert [f.name for f in runs[0]] == [f.name for f in runs[1]]
+        for fa, fb in zip(*runs):
+            assert filecmp.cmp(fa, fb, shallow=False), f"{scenario}: {fa.name} differs"
+
+
 def test_ratio_crossing_detector():
     assert ratio_crossing([1.0, 2.0], [1.5, 0.5]) == pytest.approx(1.5)
     assert ratio_crossing([1.0, 2.0], [0.5, 1.5]) == pytest.approx(1.5)

@@ -93,6 +93,27 @@ def test_near_defective_flag_and_rejection():
         evolve_spectral(es, np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0]))
 
 
+def test_eigendecompose_needs_no_svd_and_reports_one_norm_condition(monkeypatch):
+    try:  # the module whose globals cond and norm look svd up in
+        from numpy.linalg import _linalg as impl  # numpy >= 2
+    except ImportError:
+        from numpy.linalg import linalg as impl
+    calls = []
+
+    def counting(original):
+        def svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+        return svd
+
+    for module in {np.linalg, impl}:
+        monkeypatch.setattr(module, "svd", counting(module.svd))
+    es = eigendecompose(build_hamiltonian(flagship_config(1.125)))
+    assert calls == []
+    right = es.right_vectors
+    assert es.condition == np.linalg.norm(right, 1) * np.linalg.norm(np.linalg.inv(right), 1)
+
+
 def test_sweep_empty_region_all_real():
     sweep = spectrum_sweep(LatticeConfig(n_cells=6, v=0.5), [0.3, 0.6, 0.9])
     assert all(abs(im_e) < 1e-12 for im_e in sweep.eigenvalues.imag.ravel())
