@@ -108,7 +108,7 @@ def edge_states(
     selection deterministic; the global phase is fixed by making the
     largest-modulus amplitude real and positive.
     """
-    eigenvalues, right = _sorted_eig(h_initial)
+    eigenvalues, right = _sorted_eig(h_initial, pt_real=True)
     report = zero_mode_report(eigenvalues)
     if report.min_abs_e >= zero_mode_tol:
         raise NoEdgeStateError(
@@ -269,7 +269,7 @@ def evolve_states(
     condition_ceiling: float = DEFAULT_CONDITION_CEILING,
 ) -> dict[Edge, Trajectory]:
     """Decompose h once and evolve every given state under it, keyed as given."""
-    es = eigendecompose(h, condition_ceiling)
+    es = eigendecompose(h, condition_ceiling, True)  # pt_real
     return {side: evolve(h, es, psi0, times) for side, psi0 in states.items()}
 
 

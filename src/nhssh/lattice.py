@@ -18,11 +18,8 @@ __all__ = [
     "perturbation_matrix",
     "edge_correction",
     "is_pt_symmetric",
-    "DEFAULT_PT_TOL",
+    "is_pt_matrix",
 ]
-
-# Construction is exact arithmetic, so only rounding noise is expected here.
-DEFAULT_PT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -130,8 +127,20 @@ def edge_correction(config: LatticeConfig, edge_state: np.ndarray) -> complex:
     return complex(np.sum(diag * np.abs(psi) ** 2))
 
 
-def is_pt_symmetric(config: LatticeConfig, tol: float = DEFAULT_PT_TOL) -> bool:
-    """True when parity (site-order reversal) plus complex conjugation fixes H."""
-    h = build_hamiltonian(config)
-    transformed = np.conj(h)[::-1, ::-1]
-    return float(np.max(np.abs(transformed - h))) < tol
+def is_pt_symmetric(config: LatticeConfig) -> bool:
+    """True when parity (site-order reversal) plus complex conjugation fixes H.
+
+    build_hamiltonian is exact arithmetic, so the comparison is exact.
+    """
+    return is_pt_matrix(build_hamiltonian(config))
+
+
+def is_pt_matrix(h: np.ndarray) -> bool:
+    """True when conj(h)[::-1, ::-1] == h holds exactly, entry by entry.
+
+    Compares the flipped real and imaginary views, so no complex copy is made.
+    """
+    return bool(
+        np.array_equal(h.real[::-1, ::-1], h.real)
+        and np.array_equal(h.imag[::-1, ::-1], -h.imag)
+    )

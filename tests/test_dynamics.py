@@ -3,12 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhssh import dynamics, spectral
 from nhssh.dynamics import (
     Edge,
     NoEdgeStateError,
     QuenchSpec,
+    edge_states,
+    evolve,
     evolve_propagator,
     evolve_spectral,
+    evolve_states,
     initial_edge_state,
     run_quench,
 )
@@ -169,6 +173,30 @@ def test_run_quench_falls_back_to_propagator():
     default_route = run_quench(spec)[Edge.LEFT]
     forced_fallback = run_quench(spec, condition_ceiling=1.0)[Edge.LEFT]
     assert np.max(np.abs(default_route.densities - forced_fallback.densities)) < 1e-8
+
+
+def test_flagship_edge_states_real_form_match_complex_route(monkeypatch):
+    h = build_hamiltonian(flagship_config(0.25))
+    states = edge_states(h)
+    monkeypatch.setattr(dynamics, "_sorted_eig", lambda a, pt_real: spectral._sorted_eig(a))
+    reference = edge_states(h)
+    for side in Edge:
+        assert np.max(np.abs(states[side] - reference[side])) <= 1e-12
+
+
+# At v/w = 0.25 a block mode with Im E = 0.46 amplifies the rounding noise of
+# either route by exp(0.46 t), so the routes are compared only up to t = 20.
+@pytest.mark.parametrize("v, t_max", [(0.25, 20.0), (1.0, 120.0), (1.125, 120.0),
+                                      (1.5, 120.0), (2.0, 120.0)])
+def test_evolve_states_real_form_matches_complex_route(v, t_max):
+    psi0 = edge_states(build_hamiltonian(flagship_config(0.25)))
+    h = build_hamiltonian(flagship_config(v))
+    times = np.linspace(0.0, t_max, 13)
+    trajectories = evolve_states(h, psi0, times)
+    es = eigendecompose(h)
+    for side, psi in psi0.items():
+        reference = evolve(h, es, psi, times)
+        assert np.max(np.abs(trajectories[side].states - reference.states)) <= 1e-10
 
 
 def test_quench_spec_validation():

@@ -345,6 +345,23 @@ def test_bipartite_both_sides_decomposes_each_matrix_once(tmp_path, monkeypatch)
     assert len(calls) == 2  # H_initial and H_final, shared by both sides
 
 
+def test_flagship_bipartite_decomposes_pt_hamiltonians_in_real_form(tmp_path, monkeypatch):
+    calls = []
+    real_eig = np.linalg.eig
+
+    def recording_eig(h):
+        calls.append(h.dtype)
+        return real_eig(h)
+
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    for region, dtype in (((109, 112), np.float64), ((107, 110), np.complex128)):
+        calls.clear()
+        cfg = ScenarioConfig(scenario="bipartite", region_start=region[0],
+                             region_end=region[1], output_dir=str(tmp_path / str(region[0])))
+        run_scenario(cfg)
+        assert calls == [np.dtype(dtype)] * 2, region
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from nhssh.lattice import LatticeConfig, build_hamiltonian
+from nhssh.lattice import LatticeConfig, build_hamiltonian, is_pt_matrix
 from nhssh.spectral import (
     EpKind,
     NearDefectiveError,
     Sweep,
+    _greedy_match,
+    _sorted_eig,
     eigendecompose,
     ep_locate,
     match_branches,
@@ -112,6 +114,64 @@ def test_eigendecompose_needs_no_svd_and_reports_one_norm_condition(monkeypatch)
     assert calls == []
     right = es.right_vectors
     assert es.condition == np.linalg.norm(right, 1) * np.linalg.norm(np.linalg.inv(right), 1)
+
+
+# Both sides of the PT transition, the ratio-sweep ends and its crossing region.
+REAL_FORM_RATIOS = [0.25, 1.0, 1.125, 1.5, 2.0]
+
+
+@pytest.mark.parametrize("v", REAL_FORM_RATIOS)
+def test_pt_real_form_matches_complex_eig(v):
+    h = build_hamiltonian(flagship_config(v))
+    reference = eigendecompose(h)
+    es = eigendecompose(h, pt_real=True)
+    assert es.eigenvalues.dtype == complex
+    # The greedy branch matching is a bijection; pair order may differ.
+    match = _greedy_match(reference.eigenvalues, es.eigenvalues)
+    assert np.max(np.abs(es.eigenvalues - reference.eigenvalues[match])) <= 1e-12
+    right = es.right_vectors
+    assert np.linalg.norm(h @ right - right * es.eigenvalues) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(right, axis=0) - 1.0)) <= 1e-14
+    assert np.linalg.norm(es.left_vectors.conj().T @ right - np.eye(es.dim)) <= 1e-11
+    assert es.completeness_residual <= 1e-11
+    assert es.condition == pytest.approx(reference.condition, rel=1e-6)
+
+
+@pytest.mark.parametrize("v", REAL_FORM_RATIOS)
+def test_pt_real_form_conjugate_pairs_are_exact(v):
+    eigenvalues, _ = _sorted_eig(build_hamiltonian(flagship_config(v)), pt_real=True)
+    lower = np.flatnonzero(eigenvalues.imag < 0)
+    assert lower.size > 0
+    assert np.count_nonzero(eigenvalues.imag > 0) == lower.size
+    # Re E is bitwise equal within a pair, so -Im E sorts first.
+    partner = eigenvalues[lower + 1]
+    assert np.array_equal(partner.real, eigenvalues[lower].real)
+    assert np.array_equal(partner.imag, -eigenvalues[lower].imag)
+
+
+def test_pt_real_form_falls_back_to_complex_eig(monkeypatch):
+    broken = build_hamiltonian(flagship_config(1.5, region=(107, 110)))
+    # Real part PT-symmetric, imaginary part not.
+    broken_gain_loss = build_hamiltonian(
+        flagship_config(1.5, region=(107, 110), u=(0.0, 0.75)))
+    perturbed = build_hamiltonian(flagship_config(1.5))
+    perturbed[108, 108] += 1e-15  # site 109: PT-symmetric only to 1e-15
+    dtypes = []
+    real_eig = np.linalg.eig
+
+    def recording_eig(a):
+        dtypes.append(a.dtype)
+        return real_eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    assert is_pt_matrix(build_hamiltonian(flagship_config(1.5)))
+    for h in (broken, broken_gain_loss, perturbed):
+        assert not is_pt_matrix(h)
+        eigenvalues, right = _sorted_eig(h, pt_real=True)
+        reference_eigenvalues, reference_right = _sorted_eig(h)
+        assert np.array_equal(eigenvalues, reference_eigenvalues)
+        assert np.array_equal(right, reference_right)
+    assert dtypes == [np.dtype(complex)] * 6
 
 
 def test_sweep_empty_region_all_real():
