@@ -59,15 +59,25 @@ def site_density(psi: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(psi)) ** 2
 
 
-def bipartite_norms(psi: np.ndarray, split: BipartiteSplit) -> tuple[float, float]:
-    """Squared norm on each side of the split; the two add up to ||psi||^2."""
-    rho = site_density(psi)
-    if not 1 <= split.split_site < rho.shape[0]:
+def bipartite_norms(
+    psi: np.ndarray, split: BipartiteSplit
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Squared norm on each side of the split; the two add up to ||psi||^2.
+
+    A state gives two floats; a (k, n) block of states, one per row, gives
+    two arrays of k norms.
+    """
+    # One contiguous row per state, so each row is summed as a lone state is;
+    # on a column-major block the sum would run across states instead.
+    rho = np.ascontiguousarray(site_density(psi))
+    if not 1 <= split.split_site < rho.shape[-1]:
         raise ValueError(
-            f"split_site must lie in [1, {rho.shape[0] - 1}], got {split.split_site}"
+            f"split_site must lie in [1, {rho.shape[-1] - 1}], got {split.split_site}"
         )
-    rho_left = float(np.sum(rho[: split.split_site]))
-    rho_right = float(np.sum(rho[split.split_site :]))
+    rho_left = rho[..., : split.split_site].sum(axis=-1)
+    rho_right = rho[..., split.split_site :].sum(axis=-1)
+    if rho_left.ndim == 0:
+        return float(rho_left), float(rho_right)
     return rho_left, rho_right
 
 

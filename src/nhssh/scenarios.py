@@ -10,6 +10,8 @@ flagship case (220 sites, block on sites 109-112 with potentials
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -43,13 +45,10 @@ __all__ = [
     "scenario_lattice",
     "scenario_v_grid",
     "time_grid",
-    "RatioRow",
     "compute_ratio_sweep",
     "ratio_crossing",
     "run_scenario",
 ]
-
-SCENARIOS = ("spectrum", "lightcone", "bipartite", "ratio-sweep", "reshuffle")
 
 # Per-scenario (start, stop, step) defaults for the v/w grid.
 _GRID_DEFAULTS = {
@@ -94,28 +93,21 @@ class ScenarioConfig:
     output_dir: str = "out"
 
 
-_FIELD_NAMES = {f.name for f in fields(ScenarioConfig)}
-_INT_KEYS = {"n_cells"}
-_OPTIONAL_INT_KEYS = {"region_start", "region_end"}
-_OPTIONAL_FLOAT_KEYS = {"v_grid_start", "v_grid_stop", "v_grid_step"}
-_STR_KEYS = {"scenario", "side", "output_dir"}
-_FLOAT_KEYS = _FIELD_NAMES - _INT_KEYS - _OPTIONAL_INT_KEYS - _OPTIONAL_FLOAT_KEYS - _STR_KEYS
+# Each key's annotation as written ("int", "float | None", "str", ...): the
+# one statement of its type, read by the parser and the finiteness check.
+_KEY_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _coerce(key: str, raw: str, where: str):
-    if key not in _FIELD_NAMES:
+    if key not in _KEY_TYPES:
         raise ConfigError(f"{where}: unknown key {key!r}")
     raw = raw.strip()
+    kind, _, optional = _KEY_TYPES[key].partition(" | ")
+    if optional and raw.lower() == "none":
+        return None
     try:
-        if key in _STR_KEYS:
-            return raw
-        if key in _OPTIONAL_INT_KEYS or key in _OPTIONAL_FLOAT_KEYS:
-            if raw.lower() == "none":
-                return None
-            return int(raw) if key in _OPTIONAL_INT_KEYS else float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return _PARSERS[kind](raw)
     except ValueError:
         raise ConfigError(f"{where}: invalid value {raw!r} for key {key!r}") from None
 
@@ -161,6 +153,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
         )
     if cfg.side not in ("left", "right", "both"):
         raise ConfigError(f"side must be left, right, or both, got {cfg.side!r}")
+    for key, kind in _KEY_TYPES.items():
+        value = getattr(cfg, key)
+        if kind.startswith("float") and value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     for key, value in (("v_initial", cfg.v_initial), ("v_final", cfg.v_final)):
         if value < 0:
             raise ConfigError(f"{key} must be >= 0, got {value}")
@@ -175,6 +171,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.t_sample < 0:
         raise ConfigError(f"t_sample must be >= 0, got {cfg.t_sample}")
     start, stop, step = _resolved_grid(cfg)
+    if start < 0:
+        raise ConfigError(f"v_grid_start must be >= 0, got {start}")
     if step <= 0:
         raise ConfigError(f"v_grid_step must be > 0, got {step}")
     if stop < start:
@@ -228,29 +226,56 @@ def time_grid(cfg: ScenarioConfig) -> np.ndarray:
 
 # 12 significant digits keeps golden files stable across reruns.
 _FLOAT_FORMAT = ".12g"
+# Rows that _write_table turns into Python values and text at one time.
+_TABLE_CHUNK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
     return format(float(x), _FLOAT_FORMAT)
 
 
-def _write_csv(path: Path, header: str, rows: list[str]) -> Path:
-    path.write_bytes(("\n".join([header, *rows]) + "\n").encode("ascii"))
+def _write_table(path: Path, columns: dict[str, Sequence]) -> Path:
+    """CSV whose header is the keys of ``columns`` and whose rows zip their values.
+
+    Each column holds one kind of value, read from its first entry: floats
+    (numpy's too) print with ``_FLOAT_FORMAT``, strings as they are, anything
+    else through ``str``.
+    """
+    row = ",".join(
+        "{:" + _FLOAT_FORMAT + "}" if isinstance(c[0], float) else "{}"
+        for c in columns.values()
+    ) + "\n"
+    rows = len(next(iter(columns.values())))
+    # Python values exist for one chunk of rows at a time and the text is kept
+    # encoded, so memory stays near twice the file size; one format call per
+    # row builds its line.
+    chunks = [(",".join(columns) + "\n").encode("ascii")]
+    for start in range(0, rows, _TABLE_CHUNK_ROWS):
+        cells = [c[start : start + _TABLE_CHUNK_ROWS] for c in columns.values()]
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
+        chunks.append("".join(map(row.format, *cells)).encode("ascii"))
+    path.write_bytes(b"".join(chunks))
     return path
+
+
+def _repeat_each(values: list[str], times: int) -> list[str]:
+    return [v for v in values for _ in range(times)]
 
 
 def _write_sweep(path: Path, sweep: Sweep, branch: np.ndarray | None = None) -> Path:
     """One row per (grid point, eigenvalue); a branch column only with labels."""
-    labels = None if branch is None else branch.tolist()
-    rows = []
-    for g, ratio in enumerate(sweep.v_over_w.tolist()):
-        cells = zip(sweep.eigenvalues[g].tolist(), sweep.com[g].tolist(), sweep.side[g])
-        for i, (e, com, side) in enumerate(cells):
-            label = [] if labels is None else [str(labels[g][i])]
-            rows.append(",".join([_fmt(ratio), str(i), *label, _fmt(e.real),
-                                  _fmt(e.imag), _fmt(com), side.value]))
-    header = "v_over_w,index," + ("" if labels is None else "branch,") + "re_e,im_e,com,side"
-    return _write_csv(path, header, rows)
+    points, n = sweep.eigenvalues.shape
+    columns = {
+        "v_over_w": _repeat_each([_fmt(v) for v in sweep.v_over_w.tolist()], n),
+        "index": [str(i) for i in range(n)] * points,
+    }
+    if branch is not None:
+        columns["branch"] = branch.ravel()
+    columns["re_e"] = sweep.eigenvalues.real.ravel()
+    columns["im_e"] = sweep.eigenvalues.imag.ravel()
+    columns["com"] = sweep.com.ravel()
+    columns["side"] = [side.value for side in sweep.side.ravel().tolist()]
+    return _write_table(path, columns)
 
 
 def _write_heatmap(pgm_path: Path, sidecar_path: Path, traj: Trajectory) -> list[Path]:
@@ -312,15 +337,15 @@ def _run_sweep(cfg: ScenarioConfig, out: Path, *, labeled: bool) -> list[Path]:
 def _run_lightcone(cfg: ScenarioConfig, out: Path) -> list[Path]:
     outputs: list[Path] = []
     for side, traj in _quench(cfg).items():
-        densities = traj.densities.tolist()
-        sites = [str(site) for site in range(1, len(densities[0]) + 1)]
-        csv_rows = [
-            f"{t},{site},{rho:{_FLOAT_FORMAT}}"
-            for t, row in zip(map(_fmt, traj.times), densities)
-            for site, rho in zip(sites, row)
-        ]
+        densities = traj.densities
+        samples, n = densities.shape
+        columns = {
+            "t": _repeat_each([_fmt(t) for t in traj.times.tolist()], n),
+            "site": [str(site) for site in range(1, n + 1)] * samples,
+            "density": densities.ravel(),
+        }
         name = f"lightcone_{side.value}"
-        outputs.append(_write_csv(out / f"{name}.csv", "t,site,density", csv_rows))
+        outputs.append(_write_table(out / f"{name}.csv", columns))
         outputs.extend(
             _write_heatmap(out / f"{name}.pgm", out / f"{name}_clamp.txt", traj)
         )
@@ -329,29 +354,23 @@ def _run_lightcone(cfg: ScenarioConfig, out: Path) -> list[Path]:
 
 def _run_bipartite(cfg: ScenarioConfig, out: Path) -> list[Path]:
     split = default_split(scenario_lattice(cfg, cfg.v_initial))
-    csv_rows: list[str] = []
-    for side, traj in _quench(cfg).items():
-        for t, psi in zip(traj.times, traj.states):
-            rho_left, rho_right = bipartite_norms(psi, split)
-            csv_rows.append(f"{_fmt(t)},{_fmt(rho_left)},{_fmt(rho_right)},{side.value}")
-    return [_write_csv(out / "bipartite.csv", "t,rho_left,rho_right,side_init", csv_rows)]
+    trajectories = _quench(cfg)
+    norms = [bipartite_norms(traj.states, split) for traj in trajectories.values()]
+    columns = {
+        "t": np.concatenate([traj.times for traj in trajectories.values()]),
+        "rho_left": np.concatenate([rho_left for rho_left, _ in norms]),
+        "rho_right": np.concatenate([rho_right for _, rho_right in norms]),
+        "side_init": [side.value for side, traj in trajectories.items() for _ in traj.times],
+    }
+    return [_write_table(out / "bipartite.csv", columns)]
 
 
-@dataclass(frozen=True)
-class RatioRow:
-    """Reflection bookkeeping at one final v/w: half-chain weights and their ratio."""
-
-    v_over_w: float
-    rho_right_init_right_half: float
-    rho_left_init_left_half: float
-    ratio: float
-
-
-def compute_ratio_sweep(cfg: ScenarioConfig) -> list[RatioRow]:
+def compute_ratio_sweep(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     """Reflection ratio at t_sample for every final v/w on the sweep grid.
 
-    Both edge states are prepared once from the initial Hamiltonian; each grid
-    point then costs one eigendecomposition plus two evolutions.
+    Returns the ``ratio_sweep.csv`` columns as arrays keyed by their header
+    names. Both edge states are prepared once from the initial Hamiltonian;
+    each grid point then costs one eigendecomposition plus two evolutions.
     """
     lattice_initial = scenario_lattice(cfg, cfg.v_initial)
     psi0 = edge_states(build_hamiltonian(lattice_initial), cfg.zero_mode_tol)
@@ -361,7 +380,7 @@ def compute_ratio_sweep(cfg: ScenarioConfig) -> list[RatioRow]:
     else:
         times = np.array([0.0])
 
-    def at(ratio: float) -> RatioRow:
+    def at(ratio: float) -> tuple[float, float]:
         traj = evolve_states(build_hamiltonian(scenario_lattice(cfg, ratio)), psi0, times)
         rho_left_half, _ = bipartite_norms(traj[Edge.LEFT].states[-1], split)
         _, rho_right_half = bipartite_norms(traj[Edge.RIGHT].states[-1], split)
@@ -369,23 +388,26 @@ def compute_ratio_sweep(cfg: ScenarioConfig) -> list[RatioRow]:
             raise ZeroDivisionError(
                 f"left-half norm vanishes at v/w={ratio}, t={cfg.t_sample}"
             )
-        return RatioRow(
-            v_over_w=ratio,
-            rho_right_init_right_half=rho_right_half,
-            rho_left_init_left_half=rho_left_half,
-            ratio=rho_right_half / rho_left_half,
-        )
+        return rho_right_half, rho_left_half
 
-    return thread_map(at, scenario_v_grid(cfg), thread_count())
+    grid = scenario_v_grid(cfg)
+    right, left = np.array(thread_map(at, grid, thread_count())).T
+    return {
+        "v_over_w": np.array(grid),
+        "rho_right_init_right_half": right,
+        "rho_left_init_left_half": left,
+        "ratio": right / left,
+    }
 
 
-def ratio_crossing(v_values: list[float], ratios: list[float]) -> float | None:
+def ratio_crossing(v_values: Sequence[float], ratios: Sequence[float]) -> float | None:
     """v/w where the ratio curve crosses 1, linearly interpolated.
 
-    Returns the first sign change of (ratio - 1); None when the curve stays
-    on one side of 1 over the whole grid.
+    Takes lists or arrays. Returns the first sign change of (ratio - 1); None
+    when the curve stays on one side of 1 over the whole grid.
     """
-    excess = [r - 1.0 for r in ratios]
+    v_values = np.asarray(v_values, dtype=float).tolist()
+    excess = (np.asarray(ratios, dtype=float) - 1.0).tolist()
     for k in range(1, len(excess)):
         a, b = excess[k - 1], excess[k]
         if a == 0.0:
@@ -398,14 +420,7 @@ def ratio_crossing(v_values: list[float], ratios: list[float]) -> float | None:
 
 
 def _run_ratio_sweep(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    rows = compute_ratio_sweep(cfg)
-    csv_rows = [
-        ",".join([_fmt(r.v_over_w), _fmt(r.rho_right_init_right_half),
-                  _fmt(r.rho_left_init_left_half), _fmt(r.ratio)])
-        for r in rows
-    ]
-    header = "v_over_w,rho_right_init_right_half,rho_left_init_left_half,ratio"
-    return [_write_csv(out / "ratio_sweep.csv", header, csv_rows)]
+    return [_write_table(out / "ratio_sweep.csv", compute_ratio_sweep(cfg))]
 
 
 _RUNNERS = {
@@ -415,6 +430,7 @@ _RUNNERS = {
     "ratio-sweep": _run_ratio_sweep,
     "reshuffle": partial(_run_sweep, labeled=False),
 }
+SCENARIOS = tuple(_RUNNERS)
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[Path]:

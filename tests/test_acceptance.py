@@ -60,13 +60,15 @@ def broken_branch_sweep():
     ]
 
 
-def _ratio_at(rows, v):
-    return next(r.ratio for r in rows if abs(r.v_over_w - v) < 1e-9)
+def _ratio_at(sweep, v):
+    return next(r for v_over_w, r in zip(sweep["v_over_w"], sweep["ratio"])
+                if abs(v_over_w - v) < 1e-9)
 
 
-def _crossing(rows, v_min=None):
-    kept = [r for r in rows if v_min is None or r.v_over_w >= v_min - 1e-9]
-    return ratio_crossing([r.v_over_w for r in kept], [r.ratio for r in kept])
+def _crossing(sweep, v_min=None):
+    v_over_w = sweep["v_over_w"]
+    kept = np.full(v_over_w.shape, True) if v_min is None else v_over_w >= v_min - 1e-9
+    return ratio_crossing(v_over_w[kept], sweep["ratio"][kept])
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +191,12 @@ def test_criterion_08_no_switch_small_imaginary(ratio_sweeps):
 
 def test_criterion_09_pure_imaginary_block(ratio_sweeps):
     rows = ratio_sweeps[(0.0, 0.75)]
-    assert all(r.ratio > 1 for r in rows)
+    assert all(r > 1 for r in rows["ratio"])
     for v in (0.5, 1.125, 1.5):
         es = eigendecompose(build_hamiltonian(flagship_config(v, u=(0.0, 0.75))))
         for e in es.eigenvalues:
             assert np.min(np.abs(es.eigenvalues + e)) < 1e-8
-    _report(9, f"ratio stays above 1 (min {min(r.ratio for r in rows):.3f}); "
+    _report(9, f"ratio stays above 1 (min {min(rows['ratio']):.3f}); "
                f"spectrum closed under E -> -E within 1e-8")
 
 

@@ -66,6 +66,22 @@ def test_bipartite_norms_invalid_split():
         bipartite_norms(psi, BipartiteSplit(4))
 
 
+def test_bipartite_norms_block_equals_per_row_calls(rng):
+    h = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    _, vectors = np.linalg.eig(h)
+    phases = np.exp(-1j * np.outer(rng.normal(size=64), np.linspace(0.0, 5.0, 40)))
+    # (time, site) as evolve_spectral returns it: a transposed, column-major view.
+    transposed = (vectors @ phases).T
+    split = BipartiteSplit(29)
+    for block in (transposed, np.ascontiguousarray(transposed), np.asfortranarray(transposed)):
+        rho_left, rho_right = bipartite_norms(block, split)
+        assert rho_left.shape == rho_right.shape == (40,)
+        per_row = [bipartite_norms(psi, split) for psi in block]
+        assert all(isinstance(x, float) for pair in per_row for x in pair)
+        assert rho_left.tolist() == [left for left, _ in per_row]
+        assert rho_right.tolist() == [right for _, right in per_row]
+
+
 def test_default_split_and_reference_center():
     config = flagship_config(0.25)
     assert default_split(config).split_site == 110

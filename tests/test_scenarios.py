@@ -296,12 +296,16 @@ def test_ratio_crossing_detector():
     assert ratio_crossing([1.0, 2.0, 3.0], [1.2, 1.1, 1.05]) is None
     assert ratio_crossing([1.0, 2.0], [1.0, 0.5]) == 1.0
     assert ratio_crossing([1.0], [2.0]) is None
+    assert ratio_crossing(np.array([1.0, 2.0]), np.array([1.5, 0.5])) == pytest.approx(1.5)
+    assert ratio_crossing(np.array([1.0, 2.0, 3.0]), np.array([1.2, 1.0, 0.5])) == 2.0
+    assert ratio_crossing(np.array([1.0, 2.0]), np.array([1.2, 1.0])) == 2.0
+    assert ratio_crossing(np.array([1.0, 2.0]), np.array([1.2, 1.1])) is None
 
 
 def test_compute_ratio_sweep_rows_match_grid(tmp_path):
     cfg = tiny_config("ratio-sweep", tmp_path)
-    rows = compute_ratio_sweep(cfg)
-    assert [r.v_over_w for r in rows] == pytest.approx([1.0, 1.25, 1.5])
+    sweep = compute_ratio_sweep(cfg)
+    assert sweep["v_over_w"].tolist() == pytest.approx([1.0, 1.25, 1.5])
 
 
 def single_point_ratio_config(v_final: float, t_sample: float, **lattice) -> ScenarioConfig:
@@ -313,16 +317,16 @@ def single_point_ratio_config(v_final: float, t_sample: float, **lattice) -> Sce
 
 def test_ratio_sweep_symmetric_chain_is_unity():
     cfg = single_point_ratio_config(1.5, 20.0, region_start=None, region_end=None)
-    [row] = compute_ratio_sweep(cfg)
-    assert row.ratio == pytest.approx(1.0, abs=1e-6)
+    [ratio] = compute_ratio_sweep(cfg)["ratio"]
+    assert ratio == pytest.approx(1.0, abs=1e-6)
 
 
 def test_ratio_sweep_mirror_inversion():
     cfg = single_point_ratio_config(1.3, 40.0, region_start=29, region_end=32,
                                     u_re=0.75, u_im=0.75)
-    [row] = compute_ratio_sweep(cfg)
-    [mirrored] = compute_ratio_sweep(replace(cfg, u_im=-cfg.u_im))
-    assert row.ratio * mirrored.ratio == pytest.approx(1.0, abs=1e-6)
+    [ratio] = compute_ratio_sweep(cfg)["ratio"]
+    [mirrored] = compute_ratio_sweep(replace(cfg, u_im=-cfg.u_im))["ratio"]
+    assert ratio * mirrored == pytest.approx(1.0, abs=1e-6)
 
 
 def test_ratio_sweep_zero_denominator(tmp_path, monkeypatch):
@@ -398,6 +402,25 @@ def test_cli_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch):
         assert not (tmp_path / "reshuffle.csv").exists()
         assert cli_main(["validate", "--config", str(config)]) == 2, raw
         assert "NHSSH_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment", [
+    "dt=nan",
+    "t_max=inf",
+    "v_grid_stop=inf",
+    "zero_mode_tol=nan",
+    "u_im=-inf",
+    "v_grid_start=-0.5",
+])
+def test_cli_rejects_non_finite_values_and_negative_grid_start(tmp_path, capsys, assignment):
+    key, value = assignment.split("=")
+    config = tmp_path / "case.cfg"
+    config.write_text(f"scenario = ratio-sweep\n{key} = {value}\n")
+    assert cli_main(["validate", "--config", str(config)]) == 2
+    assert key in capsys.readouterr().err
+    assert cli_main(tiny_args("ratio-sweep", tmp_path) + ["--set", assignment]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "ratio_sweep.csv").exists()
 
 
 def test_cli_unreadable_config_exit_code(tmp_path, capsys):
