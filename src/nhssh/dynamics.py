@@ -5,7 +5,9 @@ biorthogonal eigenbasis (one decomposition, then phases), and repeated
 application of an exact step propagator built from a norm-controlled,
 scaled-and-squared truncated power series. The second serves as the oracle
 for the first and takes over near exceptional points, where the eigenbasis
-is too ill-conditioned to invert.
+is too ill-conditioned to invert. A third route, a truncated Taylor series
+on the bands of a batch of tridiagonal Hamiltonians, evolves a whole sweep
+grid to one time without any eigendecomposition.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "initial_edge_state",
     "evolve_spectral",
     "evolve_propagator",
+    "evolve_taylor",
     "evolve",
     "evolve_states",
     "run_quench",
@@ -47,6 +50,11 @@ DEFAULT_STEP_TOL = 1e-12
 _TAYLOR_MAX_TERMS = 48
 _SCALE_TARGET = 0.5
 _MAX_HALVINGS = 32
+# ||H tau||_1 per step of evolve_taylor (about the cheapest total of terms at
+# double precision), and its cap on terms per step: theta^j / j! falls below
+# 1e-20 by j = 50.
+_ACTION_THETA = 7.0
+_ACTION_MAX_TERMS = 100
 
 
 class Edge(Enum):
@@ -247,6 +255,119 @@ def evolve_propagator(
         states[k] = psi
         prev_t = float(t)
     return Trajectory(times=times, states=states)
+
+
+def evolve_taylor(
+    diagonal: np.ndarray, off_diagonal: np.ndarray, states: np.ndarray, t: float
+) -> np.ndarray:
+    """Evolve a batch of state blocks to time t, each under its own tridiagonal H.
+
+    Member g has H_g with complex diagonal ``diagonal[g]`` (n,) and the real
+    ``off_diagonal[g]`` (n - 1,) on both sides, as ``hamiltonian_bands`` gives;
+    ``states[g]`` is a (k, n) block of states, one per row. Returns
+    exp(-i H_g t) states[g] for every g as a (G, k, n) array.
+
+    The action is a truncated Taylor series on the three bands (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 2011): no dense matrix, no LAPACK. Member
+    g takes ceil(||H_g||_1 t / theta) equal steps, and within a step it stops
+    adding terms once two consecutive terms are below unit roundoff times the
+    max |psi| of its state at the step's start; from then on its terms are
+    exact zeros. All arithmetic is elementwise on real and imaginary parts, so
+    a member's values do not depend on the rest of the batch. At t = 0 the
+    states come back unchanged.
+    """
+    diagonal = np.asarray(diagonal, dtype=complex)
+    off_diagonal = np.asarray(off_diagonal, dtype=float)
+    states = np.asarray(states, dtype=complex)
+    members, n = diagonal.shape
+    if off_diagonal.shape != (members, n - 1):
+        raise ValueError(
+            f"off_diagonal has shape {off_diagonal.shape}, expected ({members}, {n - 1})"
+        )
+    if states.ndim != 3 or states.shape[0] != members or states.shape[2] != n:
+        raise ValueError(f"states has shape {states.shape}, expected ({members}, k, {n})")
+    if not (np.all(np.isfinite(diagonal.view(float))) and np.all(np.isfinite(off_diagonal))):
+        raise ValueError("band entries must be finite")
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    if t == 0.0:
+        return states.copy()
+
+    # ||H||_1 column by column; H = H^T, so it also bounds ||H x||_inf / ||x||_inf.
+    column = np.sqrt(diagonal.real * diagonal.real + diagonal.imag * diagonal.imag)
+    column[:, :-1] += np.abs(off_diagonal)
+    column[:, 1:] += np.abs(off_diagonal)
+    steps = np.maximum(1, np.ceil(column.max(axis=1) * t / _ACTION_THETA)).astype(int)
+
+    # A state block lives in a flat (2, (n + 2) * G * k) array: real and
+    # imaginary parts, then sites -1..n (the two end sites stay zero), then
+    # members and states. The hoppings then act as two shifts of the flat
+    # array and the on-site block as one contiguous slab. Reversing the first
+    # axis gives (Im, Re), so
+    #   -i H tau psi = tau (D_im psi + sign (D_re + E) reversed(psi)),
+    # with sign = (+1, -1); tau and sign are folded into the coefficients.
+    k = states.shape[1]
+    stride = members * k  # one site of every member and state
+    sign = np.array([1.0, -1.0])[:, None, None, None]
+    tau = (t / steps)[None, None, :, None]
+    hops = np.zeros((2, n + 1, members, k))  # bond b joins sites b - 1 and b
+    hops[:, 1:n] = sign * tau * off_diagonal.T[None, :, :, None]
+    hop_left, hop_right = hops[:, :-1].reshape(2, -1), hops[:, 1:].reshape(2, -1)
+    # The on-site block is nonzero on a few sites only: apply it there.
+    sites = np.flatnonzero(np.any(diagonal != 0, axis=0))
+    block = slice(sites.min(), sites.max() + 1) if sites.size else slice(0, 0)
+    on_site_re = sign * tau * diagonal.real.T[None, block, :, None]
+    on_site_im = tau * diagonal.imag.T[None, block, :, None]
+
+    def padded() -> tuple[np.ndarray, np.ndarray]:
+        flat = np.zeros((2, (n + 2) * stride))
+        return flat, flat.reshape(2, n + 2, members, k)[:, 1:-1]
+
+    squares, moduli = np.empty((2, (n + 2) * stride)), np.empty((n + 2) * stride)
+
+    def max_abs2(flat: np.ndarray) -> np.ndarray:
+        """Per member, the largest |psi|^2 of a flat block."""
+        np.square(flat, out=squares)
+        np.add(squares[0], squares[1], out=moduli)
+        # Sites first: one max over axes (0, 2) at once is about 30x slower.
+        per_state = moduli.reshape(n + 2, stride).max(axis=0)
+        return per_state.reshape(members, k).max(axis=1)
+
+    psi_flat, psi = padded()
+    psi[0], psi[1] = states.real.transpose(2, 0, 1), states.imag.transpose(2, 0, 1)
+    term_flat, term = padded()
+    next_flat, next_term = padded()
+    scratch = np.empty_like(hop_left)
+    tol2 = (np.finfo(float).eps / 2.0) ** 2  # unit roundoff, squared
+    for step in range(int(steps.max())):
+        live = step < steps
+        bound = tol2 * max_abs2(psi_flat)
+        np.copyto(term_flat, psi_flat)
+        term[:, :, ~live] = 0.0
+        small = np.zeros(members, dtype=bool)
+        for j in range(1, _ACTION_MAX_TERMS + 1):
+            swapped, out = term_flat[::-1], next_flat[:, stride:-stride]
+            np.multiply(hop_left, swapped[:, : -2 * stride], out=out)
+            np.multiply(hop_right, swapped[:, 2 * stride :], out=scratch)
+            out += scratch
+            next_term[:, block] += on_site_re * term[::-1, block]
+            next_term[:, block] += on_site_im * term[:, block]
+            out *= 1.0 / j
+            term_flat, next_flat = next_flat, term_flat
+            term, next_term = next_term, term
+            psi_flat += term_flat
+            was_small, small = small, max_abs2(term_flat) <= bound
+            stopped = live & small & was_small
+            if stopped.any():
+                term[:, :, stopped] = 0.0
+                live &= ~stopped
+                if not live.any():
+                    break
+        else:
+            raise RuntimeError("Taylor series failed to converge within a step")
+    result = np.empty(states.shape, dtype=complex)
+    result.real, result.imag = psi[0].transpose(1, 2, 0), psi[1].transpose(1, 2, 0)
+    return result
 
 
 def evolve(

@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "LatticeConfig",
     "build_hamiltonian",
+    "hamiltonian_bands",
     "perturbation_matrix",
     "edge_correction",
     "is_pt_symmetric",
@@ -76,25 +77,36 @@ class LatticeConfig:
         return replace(self, region_start=None, region_end=None)
 
 
-def _onsite_potential(config: LatticeConfig, site: int) -> complex:
-    # Odd (A) sites take u = u_re - i*u_im, even (B) sites the conjugate.
-    if site % 2 == 1:
-        return complex(config.u_re, -config.u_im)
-    return complex(config.u_re, config.u_im)
+def hamiltonian_bands(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The three bands of the tridiagonal, complex symmetric Hamiltonian.
+
+    Returns (diagonal, off_diagonal): 2N complex on-site potentials, zero
+    outside the block, u = u_re - i*u_im on odd (A) sites and the conjugate on
+    even (B) sites; and 2N - 1 real hoppings, v on intracell bonds (2n-1, 2n)
+    and w on intercell bonds (2n, 2n+1). The off-diagonal serves both sides.
+    """
+    n = config.n_sites
+    diagonal = np.zeros(n, dtype=complex)
+    if config.has_region:
+        first, last = config.region_start - 1, config.region_end  # 0-based, half-open
+        diagonal[first:last] = complex(config.u_re, config.u_im)
+        # A sites (odd site numbers) sit at even 0-based indices.
+        diagonal[first + first % 2 : last : 2] = complex(config.u_re, -config.u_im)
+    off_diagonal = np.empty(n - 1)
+    off_diagonal[0::2] = config.v
+    off_diagonal[1::2] = config.w
+    return diagonal, off_diagonal
 
 
 def build_hamiltonian(config: LatticeConfig) -> np.ndarray:
-    """Dense Hamiltonian: real staggered hoppings plus the complex on-site block.
-
-    Returns a (2N, 2N) complex matrix with v on intracell bonds (2n-1, 2n),
-    w on intercell bonds (2n, 2n+1), and the block potentials on the diagonal.
-    """
-    h = perturbation_matrix(config)
-    for cell in range(config.n_cells):
-        a = 2 * cell
-        h[a, a + 1] = h[a + 1, a] = config.v
-        if cell + 1 < config.n_cells:
-            h[a + 1, a + 2] = h[a + 2, a + 1] = config.w
+    """Dense (2N, 2N) complex Hamiltonian with hamiltonian_bands(config) as its bands."""
+    diagonal, off_diagonal = hamiltonian_bands(config)
+    n = diagonal.size
+    h = np.zeros((n, n), dtype=complex)
+    flat = h.reshape(-1)  # entry (i, j) at i * n + j; the bands have step n + 1
+    flat[:: n + 1] = diagonal
+    flat[1 :: n + 1] = off_diagonal
+    flat[n :: n + 1] = off_diagonal
     return h
 
 
@@ -104,12 +116,7 @@ def perturbation_matrix(config: LatticeConfig) -> np.ndarray:
     build_hamiltonian(config) decomposes entrywise exactly into the pure-chain
     matrix (empty region) plus this matrix.
     """
-    n = config.n_sites
-    h = np.zeros((n, n), dtype=complex)
-    if config.has_region:
-        for site in range(config.region_start, config.region_end + 1):
-            h[site - 1, site - 1] = _onsite_potential(config, site)
-    return h
+    return np.diag(hamiltonian_bands(config)[0])
 
 
 def edge_correction(config: LatticeConfig, edge_state: np.ndarray) -> complex:
@@ -123,7 +130,7 @@ def edge_correction(config: LatticeConfig, edge_state: np.ndarray) -> complex:
         raise ValueError(
             f"edge_state has dimension {psi.shape}, expected ({config.n_sites},)"
         )
-    diag = np.diagonal(perturbation_matrix(config))
+    diag = hamiltonian_bands(config)[0]
     return complex(np.sum(diag * np.abs(psi) ** 2))
 
 

@@ -24,16 +24,16 @@ from .dynamics import (
     QuenchSpec,
     Trajectory,
     edge_states,
-    evolve_states,
+    evolve_taylor,
     run_quench,
 )
-from .lattice import LatticeConfig, build_hamiltonian
+from .lattice import LatticeConfig, build_hamiltonian, hamiltonian_bands
 from .observables import (
     DEFAULT_SIDE_THRESHOLD,
     bipartite_norms,
     default_split,
 )
-from .parallel import thread_count, thread_map
+from .parallel import thread_count
 from .spectral import Sweep, match_branches, spectrum_sweep
 
 __all__ = [
@@ -369,31 +369,31 @@ def compute_ratio_sweep(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     """Reflection ratio at t_sample for every final v/w on the sweep grid.
 
     Returns the ``ratio_sweep.csv`` columns as arrays keyed by their header
-    names. Both edge states are prepared once from the initial Hamiltonian;
-    each grid point then costs one eigendecomposition plus two evolutions.
+    names. Both edge states are prepared once from the initial Hamiltonian,
+    then the whole grid is evolved in one batched Taylor action on the bands
+    of each final Hamiltonian (``evolve_taylor``).
     """
     lattice_initial = scenario_lattice(cfg, cfg.v_initial)
     psi0 = edge_states(build_hamiltonian(lattice_initial), cfg.zero_mode_tol)
     split = default_split(lattice_initial)
-    if cfg.t_sample > 0:
-        times = np.array([0.0, cfg.t_sample])
-    else:
-        times = np.array([0.0])
-
-    def at(ratio: float) -> tuple[float, float]:
-        traj = evolve_states(build_hamiltonian(scenario_lattice(cfg, ratio)), psi0, times)
-        rho_left_half, _ = bipartite_norms(traj[Edge.LEFT].states[-1], split)
-        _, rho_right_half = bipartite_norms(traj[Edge.RIGHT].states[-1], split)
-        if rho_left_half == 0.0:
-            raise ZeroDivisionError(
-                f"left-half norm vanishes at v/w={ratio}, t={cfg.t_sample}"
-            )
-        return rho_right_half, rho_left_half
-
-    grid = scenario_v_grid(cfg)
-    right, left = np.array(thread_map(at, grid, thread_count())).T
+    grid = np.array(scenario_v_grid(cfg))
+    diagonal, off_diagonal = map(np.array, zip(*(
+        hamiltonian_bands(scenario_lattice(cfg, ratio)) for ratio in grid
+    )))
+    initial = np.stack([psi0[Edge.LEFT], psi0[Edge.RIGHT]])
+    states = evolve_taylor(
+        diagonal, off_diagonal, np.broadcast_to(initial, (grid.size, *initial.shape)),
+        cfg.t_sample,
+    )
+    left, _ = bipartite_norms(states[:, 0], split)
+    _, right = bipartite_norms(states[:, 1], split)
+    vanishing = np.flatnonzero(left == 0.0)
+    if vanishing.size:
+        raise ZeroDivisionError(
+            f"left-half norm vanishes at v/w={grid[vanishing[0]]}, t={cfg.t_sample}"
+        )
     return {
-        "v_over_w": np.array(grid),
+        "v_over_w": grid,
         "rho_right_init_right_half": right,
         "rho_left_init_left_half": left,
         "ratio": right / left,

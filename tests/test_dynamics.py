@@ -13,10 +13,11 @@ from nhssh.dynamics import (
     evolve_propagator,
     evolve_spectral,
     evolve_states,
+    evolve_taylor,
     initial_edge_state,
     run_quench,
 )
-from nhssh.lattice import LatticeConfig, build_hamiltonian
+from nhssh.lattice import LatticeConfig, build_hamiltonian, hamiltonian_bands
 from nhssh.spectral import eigendecompose
 
 from conftest import flagship_config
@@ -223,3 +224,129 @@ def test_trajectory_densities_match_states():
     np.testing.assert_array_equal(traj.densities, np.abs(traj.states) ** 2)
     assert np.all(traj.densities >= 0)
     np.testing.assert_array_equal(traj.states[0], psi0)
+
+
+# ---------------------------------------------------------------------------
+# Batched Taylor route (evolve_taylor) against the spectral and propagator routes
+# ---------------------------------------------------------------------------
+
+def taylor_batch(configs, states, t):
+    """evolve_taylor of the same (k, n) block of states under each config."""
+    diagonal, off_diagonal = map(np.array, zip(*map(hamiltonian_bands, configs)))
+    batch = np.broadcast_to(states, (len(configs), *states.shape))
+    return evolve_taylor(diagonal, off_diagonal, batch, t)
+
+
+def spectral_at(es, block, t):
+    return np.array([evolve_spectral(es, psi, [t]).states[0] for psi in block])
+
+
+def relative_error(states, reference):
+    return np.max(np.abs(states - reference)) / np.max(np.abs(reference))
+
+
+@pytest.fixture(scope="module")
+def flagship_edge_block():
+    psi0 = edge_states(build_hamiltonian(flagship_config(0.25)))
+    return np.stack([psi0[Edge.LEFT], psi0[Edge.RIGHT]])
+
+
+# The ratio-sweep grid ends and the phase-rigidity dips of the flagship
+# spectrum. At v/w = 0.40 a block mode with Im E = 0.37 amplifies rounding
+# noise, and the spectral and propagator routes part beyond t = 34.
+@pytest.mark.parametrize("v, t", [(1.0, 120.0), (2.0, 120.0), (0.40, 30.0),
+                                  (0.90, 120.0), (1.10, 120.0), (1.65, 120.0)])
+def test_taylor_route_matches_propagator_at_flagship_size(flagship_edge_block, v, t):
+    config = flagship_config(v)
+    h = build_hamiltonian(config)
+    propagated = np.array([evolve_propagator(h, psi, [t]).states[0]
+                           for psi in flagship_edge_block])
+    spectral = spectral_at(eigendecompose(h), flagship_edge_block, t)
+    assert relative_error(spectral, propagated) <= 1e-10
+    [taylor] = taylor_batch([config], flagship_edge_block, t)
+    assert relative_error(taylor, propagated) <= 1e-10
+
+
+# Below v/w = 1.4 the stronger block (0.75, 1.0) has a mode with Im E up to
+# 0.39 that the edge states barely touch; the spectral route's rounding noise
+# in its coefficient grows to 2.5e-5 relative by t = 120, so the test below
+# takes the propagator as the oracle there.
+@pytest.mark.parametrize("region, u, grid", [
+    ((109, 112), (0.75, 0.75), (1.0, 1.5, 2.0)),
+    ((109, 112), (0.75, 1.0), (1.4, 1.5, 2.0)),
+    ((109, 112), (0.75, 0.25), (1.0, 1.5, 2.0)),
+    ((109, 112), (0.0, 0.75), (1.0, 1.5, 2.0)),
+    ((107, 110), (0.75, 0.75), (1.0, 1.5, 2.0)),
+], ids=["pt", "stronger", "weaker", "pure-imaginary", "off-center"])
+def test_taylor_route_matches_spectral_route(flagship_edge_block, region, u, grid):
+    """The four acceptance blocks and the off-center (not PT-symmetric) one."""
+    configs = [flagship_config(v, region=region, u=u) for v in grid]
+    taylor = taylor_batch(configs, flagship_edge_block, 120.0)
+    for config, states in zip(configs, taylor):
+        reference = spectral_at(eigendecompose(build_hamiltonian(config)),
+                                flagship_edge_block, 120.0)
+        assert relative_error(states, reference) <= 1e-10
+
+
+def test_taylor_route_follows_propagator_past_a_growing_mode(flagship_edge_block):
+    config = flagship_config(1.0, u=(0.75, 1.0))
+    h = build_hamiltonian(config)
+    propagated = np.array([evolve_propagator(h, psi, [120.0]).states[0]
+                           for psi in flagship_edge_block])
+    [taylor] = taylor_batch([config], flagship_edge_block, 120.0)
+    assert np.max(np.abs(propagated)) > 1e9  # the growing mode dominates
+    assert relative_error(taylor, propagated) <= 1e-10
+
+
+def test_taylor_route_t_zero_and_members_apart():
+    configs = [small_pt_config(v) for v in (0.5, 1.3, 2.0)]
+    psi0 = edge_states(build_hamiltonian(small_pt_config(0.25)))
+    block = np.stack([psi0[Edge.LEFT], psi0[Edge.RIGHT]])
+    unchanged = taylor_batch(configs, block, 0.0)
+    assert unchanged.tobytes() == np.broadcast_to(block, unchanged.shape).tobytes()
+    batch = taylor_batch(configs, block, 15.0)
+    for config, member in zip(configs, batch):
+        [alone] = taylor_batch([config], block, 15.0)
+        assert np.array_equal(alone, member)
+        es = eigendecompose(build_hamiltonian(config))
+        assert relative_error(member, spectral_at(es, block, 15.0)) <= 1e-10
+
+
+def test_taylor_route_single_site_gain_and_loss():
+    rates = np.array([0.3, -0.1, 0.0])  # loss, gain, neither
+    states = evolve_taylor((-1j * rates)[:, None], np.zeros((3, 0)),
+                           np.ones((3, 1, 1), dtype=complex), 5.0)
+    np.testing.assert_allclose(states[:, 0, 0], np.exp(-rates * 5.0), rtol=1e-14)
+
+
+def test_taylor_route_rejects_malformed_input():
+    diagonal, off_diagonal = np.zeros((2, 4), dtype=complex), np.ones((2, 3))
+    states = np.ones((2, 1, 4), dtype=complex)
+    for args in [(diagonal, off_diagonal[:, :2], states, 1.0),
+                 (diagonal, off_diagonal, states[:, :, :3], 1.0),
+                 (diagonal, off_diagonal, states[:1], 1.0),
+                 (diagonal, off_diagonal * np.inf, states, 1.0),
+                 (diagonal, off_diagonal, states, -1.0),
+                 (diagonal, off_diagonal, states, np.nan)]:
+        with pytest.raises(ValueError):
+            evolve_taylor(*args)
+
+
+def test_forced_propagator_fallback_matches_spectral_route_at_flagship_size(monkeypatch):
+    config = flagship_config(0.25)
+    spec = QuenchSpec(config, config.with_v(1.5), tuple(Edge), np.arange(0.0, 500.5, 0.5))
+    calls = []
+
+    def counting_propagator(*args, **kwargs):
+        calls.append(args[0].shape)
+        return evolve_propagator(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve_propagator", counting_propagator)
+    spectral = run_quench(spec)
+    assert calls == []
+    forced = run_quench(spec, condition_ceiling=0.0)
+    assert calls == [(220, 220)] * 2
+    for side in Edge:
+        error = np.abs(forced[side].states - spectral[side].states).max(axis=1)
+        scale = np.abs(spectral[side].states).max(axis=1)
+        assert np.all(error <= 1e-10 * scale)

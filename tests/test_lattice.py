@@ -7,6 +7,7 @@ from nhssh.lattice import (
     LatticeConfig,
     build_hamiltonian,
     edge_correction,
+    hamiltonian_bands,
     is_pt_symmetric,
     perturbation_matrix,
 )
@@ -94,6 +95,47 @@ def test_decomposition_identity(n_cells, v, u_re, u_im, data):
     total = build_hamiltonian(config)
     pure = build_hamiltonian(config.without_region())
     np.testing.assert_array_equal(total, pure + perturbation_matrix(config))
+
+
+def loop_hamiltonian(config: LatticeConfig) -> np.ndarray:
+    """Reference builder: one bond and one block site at a time."""
+    n = config.n_sites
+    h = np.zeros((n, n), dtype=complex)
+    if config.has_region:
+        for site in range(config.region_start, config.region_end + 1):
+            u_im = -config.u_im if site % 2 == 1 else config.u_im
+            h[site - 1, site - 1] = complex(config.u_re, u_im)
+    for cell in range(config.n_cells):
+        a = 2 * cell
+        h[a, a + 1] = h[a + 1, a] = config.v
+        if cell + 1 < config.n_cells:
+            h[a + 1, a + 2] = h[a + 2, a + 1] = config.w
+    return h
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n_cells=st.integers(1, 12),
+    v=st.floats(0.0, 2.0),
+    u_re=st.sampled_from([0.0, -0.0, 0.75, -1.2]),
+    u_im=st.sampled_from([0.0, -0.0, 0.75, -1.2]),
+    data=st.data(),
+)
+def test_bands_build_the_dense_hamiltonian_bitwise(n_cells, v, u_re, u_im, data):
+    start = data.draw(st.integers(1, 2 * n_cells))
+    end = data.draw(st.integers(start, 2 * n_cells))
+    for config in (
+        LatticeConfig(n_cells=n_cells, v=v, region_start=start, region_end=end,
+                      u_re=u_re, u_im=u_im),
+        LatticeConfig(n_cells=n_cells, v=v),
+    ):
+        h = build_hamiltonian(config)
+        assert h.tobytes() == loop_hamiltonian(config).tobytes()
+        diagonal, off_diagonal = hamiltonian_bands(config)
+        assert off_diagonal.dtype == float
+        assert diagonal.tobytes() == np.diagonal(h).tobytes()
+        assert off_diagonal.tobytes() == np.diagonal(h, 1).real.tobytes()
+        assert perturbation_matrix(config).tobytes() == np.diag(diagonal).tobytes()
 
 
 def test_edge_correction_disjoint_support_exactly_zero():

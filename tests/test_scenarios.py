@@ -7,6 +7,9 @@ import pytest
 
 from nhssh import dynamics, scenarios
 from nhssh.cli import main as cli_main
+from nhssh.dynamics import Edge, edge_states
+from nhssh.lattice import build_hamiltonian
+from nhssh.observables import bipartite_norms, default_split
 from nhssh.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -15,6 +18,7 @@ from nhssh.scenarios import (
     parse_config,
     ratio_crossing,
     run_scenario,
+    scenario_lattice,
     scenario_v_grid,
     time_grid,
 )
@@ -327,6 +331,31 @@ def test_ratio_sweep_mirror_inversion():
     [ratio] = compute_ratio_sweep(cfg)["ratio"]
     [mirrored] = compute_ratio_sweep(replace(cfg, u_im=-cfg.u_im))["ratio"]
     assert ratio * mirrored == pytest.approx(1.0, abs=1e-6)
+
+
+def test_one_point_ratio_sweep_equals_its_point_in_the_flagship_sweep():
+    flagship = compute_ratio_sweep(ScenarioConfig(scenario="ratio-sweep"))
+    assert flagship["v_over_w"].size == 41
+    for k in (0, 17, 40):
+        v = float(flagship["v_over_w"][k])
+        single = compute_ratio_sweep(ScenarioConfig(scenario="ratio-sweep",
+                                                    v_grid_start=v, v_grid_stop=v))
+        for name, column in single.items():
+            assert column.tobytes() == flagship[name][k : k + 1].tobytes(), name
+
+
+def test_ratio_sweep_at_t_zero_is_the_initial_edge_state_ratio():
+    cfg = replace(single_point_ratio_config(1.3, 0.0, region_start=29, region_end=32,
+                                            u_re=0.75, u_im=0.75), v_grid_stop=1.5)
+    sweep = compute_ratio_sweep(cfg)
+    lattice = scenario_lattice(cfg, cfg.v_initial)
+    psi0 = edge_states(build_hamiltonian(lattice))
+    rho_left, _ = bipartite_norms(psi0[Edge.LEFT], default_split(lattice))
+    _, rho_right = bipartite_norms(psi0[Edge.RIGHT], default_split(lattice))
+    assert sweep["v_over_w"].size == 9
+    assert sweep["rho_left_init_left_half"].tolist() == [rho_left] * 9
+    assert sweep["rho_right_init_right_half"].tolist() == [rho_right] * 9
+    assert sweep["ratio"].tolist() == [rho_right / rho_left] * 9
 
 
 def test_ratio_sweep_zero_denominator(tmp_path, monkeypatch):
