@@ -5,9 +5,10 @@ biorthogonal eigenbasis (one decomposition, then phases), and repeated
 application of an exact step propagator built from a norm-controlled,
 scaled-and-squared truncated power series. The second serves as the oracle
 for the first and takes over near exceptional points, where the eigenbasis
-is too ill-conditioned to invert. A third route, a truncated Taylor series
-on the bands of a batch of tridiagonal Hamiltonians, evolves a whole sweep
-grid to one time without any eigendecomposition.
+is too ill-conditioned to invert; ``run_quench`` is the one place that
+chooses between them. A third route, a truncated Taylor series on the bands
+of a batch of tridiagonal Hamiltonians, evolves a whole sweep grid to one
+time without any eigendecomposition.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ __all__ = [
     "evolve_spectral",
     "evolve_propagator",
     "evolve_taylor",
-    "evolve",
-    "evolve_states",
     "run_quench",
     "DEFAULT_ZERO_MODE_TOL",
     "DEFAULT_STEP_TOL",
@@ -216,13 +215,7 @@ def _step_propagator(
     return p
 
 
-def evolve_propagator(
-    h: np.ndarray,
-    psi0: np.ndarray,
-    times: np.ndarray,
-    *,
-    step_tol: float = DEFAULT_STEP_TOL,
-) -> Trajectory:
+def evolve_propagator(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Trajectory:
     """March psi0 through exact step propagators between the sampled times.
 
     psi0 is the state at t = 0; the first sample follows after advancing by
@@ -249,7 +242,7 @@ def evolve_propagator(
         if dt > 0.0:
             prop = cache.get(dt)
             if prop is None:
-                prop = _step_propagator(h, dt, step_tol)
+                prop = _step_propagator(h, dt, DEFAULT_STEP_TOL)
                 cache[dt] = prop
             psi = prop @ psi
         states[k] = psi
@@ -297,7 +290,10 @@ def evolve_taylor(
     column = np.sqrt(diagonal.real * diagonal.real + diagonal.imag * diagonal.imag)
     column[:, :-1] += np.abs(off_diagonal)
     column[:, 1:] += np.abs(off_diagonal)
-    steps = np.maximum(1, np.ceil(column.max(axis=1) * t / _ACTION_THETA)).astype(int)
+    steps = np.maximum(1.0, np.ceil(column.max(axis=1) * t / _ACTION_THETA))
+    if not np.all(steps < 2.0**63):
+        raise ValueError(f"t = {t:g} needs more Taylor steps than an int64 holds")
+    steps = steps.astype(int)
 
     # A state block lives in a flat (2, (n + 2) * G * k) array: real and
     # imaginary parts, then sites -1..n (the two end sites stay zero), then
@@ -370,39 +366,30 @@ def evolve_taylor(
     return result
 
 
-def evolve(
-    h: np.ndarray, es: Eigensystem, psi0: np.ndarray, times: np.ndarray
-) -> Trajectory:
-    """Evolve psi0 under h, whose eigensystem is es.
-
-    The spectral route is preferred; when its eigenbasis is flagged as
-    near-defective the step-propagator route takes over.
-    """
-    if es.near_defective:
-        return evolve_propagator(h, psi0, times)
-    return evolve_spectral(es, psi0, times)
-
-
-def evolve_states(
-    h: np.ndarray,
-    states: dict[Edge, np.ndarray],
-    times: np.ndarray,
-    condition_ceiling: float = DEFAULT_CONDITION_CEILING,
-) -> dict[Edge, Trajectory]:
-    """Decompose h once and evolve every given state under it, keyed as given."""
-    es = eigendecompose(h, condition_ceiling, True)  # pt_real
-    return {side: evolve(h, es, psi0, times) for side, psi0 in states.items()}
-
-
 def run_quench(
-    spec: QuenchSpec,
-    *,
-    zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL,
-    condition_ceiling: float = DEFAULT_CONDITION_CEILING,
+    spec: QuenchSpec, *, zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL
 ) -> dict[Edge, Trajectory]:
     """Prepare the edge states of the initial Hamiltonian and evolve the
-    requested sides under the final one, each Hamiltonian decomposed once."""
+    requested sides under the final one, each Hamiltonian decomposed once.
+
+    The spectral route is preferred; when the final eigenbasis is flagged as
+    near-defective the step-propagator route takes over. Raises RuntimeError
+    when a side's state stops being finite (a growing mode overflowed).
+    """
     psi0 = edge_states(build_hamiltonian(spec.initial_config), zero_mode_tol)
-    states = {side: psi0[side] for side in spec.sides}
     h_final = build_hamiltonian(spec.final_config)
-    return evolve_states(h_final, states, spec.times, condition_ceiling)
+    es = eigendecompose(h_final, DEFAULT_CONDITION_CEILING, True)  # pt_real
+    trajectories = {}
+    for side in spec.sides:
+        if es.near_defective:
+            traj = evolve_propagator(h_final, psi0[side], spec.times)
+        else:
+            traj = evolve_spectral(es, psi0[side], spec.times)
+        finite = np.isfinite(traj.states).all(axis=1)
+        if not finite.all():
+            t = spec.times[np.argmin(finite)]
+            raise RuntimeError(
+                f"quench evolution of the {side.value} edge state is not finite at t={t:g}"
+            )
+        trajectories[side] = traj
+    return trajectories

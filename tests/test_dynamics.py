@@ -9,10 +9,8 @@ from nhssh.dynamics import (
     NoEdgeStateError,
     QuenchSpec,
     edge_states,
-    evolve,
     evolve_propagator,
     evolve_spectral,
-    evolve_states,
     evolve_taylor,
     initial_edge_state,
     run_quench,
@@ -27,6 +25,12 @@ def small_pt_config(v: float) -> LatticeConfig:
     # 60 sites, centered four-site block (29 + 32 = 2N + 1).
     return LatticeConfig(n_cells=30, v=v, region_start=29, region_end=32,
                          u_re=0.75, u_im=0.75)
+
+
+def force_condition_ceiling(monkeypatch, ceiling: float) -> None:
+    """Make run_quench flag its final eigenbasis against the given ceiling."""
+    monkeypatch.setattr(dynamics, "eigendecompose", lambda h, _ceiling, pt_real:
+                        spectral.eigendecompose(h, ceiling, pt_real))
 
 
 def test_edge_state_dimerized_limit_is_site_one():
@@ -167,12 +171,13 @@ def test_quench_onto_same_config_is_stationary():
     assert np.max(np.abs(traj.densities - traj.densities[0])) < 1e-8
 
 
-def test_run_quench_falls_back_to_propagator():
+def test_run_quench_falls_back_to_propagator(monkeypatch):
     config = small_pt_config(0.25)
     spec = QuenchSpec(config, config.with_v(1.3), (Edge.LEFT,),
                       np.arange(0.0, 10.5, 0.5))
     default_route = run_quench(spec)[Edge.LEFT]
-    forced_fallback = run_quench(spec, condition_ceiling=1.0)[Edge.LEFT]
+    force_condition_ceiling(monkeypatch, 1.0)
+    forced_fallback = run_quench(spec)[Edge.LEFT]
     assert np.max(np.abs(default_route.densities - forced_fallback.densities)) < 1e-8
 
 
@@ -190,13 +195,15 @@ def test_flagship_edge_states_real_form_match_complex_route(monkeypatch):
 @pytest.mark.parametrize("v, t_max", [(0.25, 20.0), (1.0, 120.0), (1.125, 120.0),
                                       (1.5, 120.0), (2.0, 120.0)])
 def test_evolve_states_real_form_matches_complex_route(v, t_max):
-    psi0 = edge_states(build_hamiltonian(flagship_config(0.25)))
+    initial = flagship_config(0.25)
+    psi0 = edge_states(build_hamiltonian(initial))
     h = build_hamiltonian(flagship_config(v))
     times = np.linspace(0.0, t_max, 13)
-    trajectories = evolve_states(h, psi0, times)
+    trajectories = run_quench(QuenchSpec(initial, initial.with_v(v), tuple(Edge), times))
     es = eigendecompose(h)
+    assert not es.near_defective
     for side, psi in psi0.items():
-        reference = evolve(h, es, psi, times)
+        reference = evolve_spectral(es, psi, times)
         assert np.max(np.abs(trajectories[side].states - reference.states)) <= 1e-10
 
 
@@ -327,7 +334,8 @@ def test_taylor_route_rejects_malformed_input():
                  (diagonal, off_diagonal, states[:1], 1.0),
                  (diagonal, off_diagonal * np.inf, states, 1.0),
                  (diagonal, off_diagonal, states, -1.0),
-                 (diagonal, off_diagonal, states, np.nan)]:
+                 (diagonal, off_diagonal, states, np.nan),
+                 (diagonal, off_diagonal, states, 1e300)]:
         with pytest.raises(ValueError):
             evolve_taylor(*args)
 
@@ -344,7 +352,8 @@ def test_forced_propagator_fallback_matches_spectral_route_at_flagship_size(monk
     monkeypatch.setattr(dynamics, "evolve_propagator", counting_propagator)
     spectral = run_quench(spec)
     assert calls == []
-    forced = run_quench(spec, condition_ceiling=0.0)
+    force_condition_ceiling(monkeypatch, 0.0)
+    forced = run_quench(spec)
     assert calls == [(220, 220)] * 2
     for side in Edge:
         error = np.abs(forced[side].states - spectral[side].states).max(axis=1)

@@ -490,6 +490,28 @@ def test_cli_propagator_halving_failure_exit_code(tmp_path, capsys, monkeypatch)
     assert "lightcone" in err and "halving failed to converge" in err
 
 
+def test_cli_t_sample_beyond_the_taylor_step_count_exit_code(tmp_path, capsys):
+    args = tiny_args("ratio-sweep", tmp_path) + ["--set", "t_sample=1e300"]
+    assert cli_main(args) == 3
+    err = capsys.readouterr().err
+    assert "ratio-sweep" in err and "Taylor steps" in err
+    assert not (tmp_path / "ratio_sweep.csv").exists()
+
+
+# A block mode with Im E ~ 0.31 at v/w = 0.5 overflows exp(-iEt) by t = 5000.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scenario", ["lightcone", "bipartite"])
+def test_cli_overflowing_quench_exit_code(tmp_path, capsys, scenario):
+    args = ["run", "--scenario", scenario, "--out", str(tmp_path)]
+    for item in ("n_cells=30", "region_start=29", "region_end=32", "v_final=0.5",
+                 "t_max=5000", "dt=100"):
+        args += ["--set", item]
+    assert cli_main(args) == 3
+    err = capsys.readouterr().err
+    assert scenario in err and "edge state is not finite at t=" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_validate(tmp_path, capsys):
     config = tmp_path / "case.cfg"
     config.write_text("scenario = bipartite\nu_im = 0.25\n")
