@@ -6,9 +6,9 @@ application of an exact step propagator built from a norm-controlled,
 scaled-and-squared truncated power series. The second serves as the oracle
 for the first and takes over near exceptional points, where the eigenbasis
 is too ill-conditioned to invert; ``run_quench`` is the one place that
-chooses between them. A third route, a truncated Taylor series on the bands
-of a batch of tridiagonal Hamiltonians, evolves a whole sweep grid to one
-time without any eigendecomposition.
+chooses between them. A third route, a Chebyshev expansion on the bands of
+a batch of tridiagonal Hamiltonians, evolves a whole sweep grid to one time
+without any eigendecomposition.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
     "initial_edge_state",
     "evolve_spectral",
     "evolve_propagator",
-    "evolve_taylor",
+    "evolve_chebyshev",
     "run_quench",
     "DEFAULT_ZERO_MODE_TOL",
     "DEFAULT_STEP_TOL",
@@ -49,11 +49,10 @@ DEFAULT_STEP_TOL = 1e-12
 _TAYLOR_MAX_TERMS = 48
 _SCALE_TARGET = 0.5
 _MAX_HALVINGS = 32
-# ||H tau||_1 per step of evolve_taylor (about the cheapest total of terms at
-# double precision), and its cap on terms per step: theta^j / j! falls below
-# 1e-20 by j = 50.
-_ACTION_THETA = 7.0
-_ACTION_MAX_TERMS = 100
+# a tau per step of evolve_chebyshev, which bounds its table of J_k(a tau),
+# and the magnitude at which _bessel_j rescales its recurrence.
+_CHEBYSHEV_MAX_ARGUMENT = 1000.0
+_MILLER_RESCALE = 2.0**500
 
 
 class Edge(Enum):
@@ -250,7 +249,47 @@ def evolve_propagator(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Tra
     return Trajectory(times=times, states=states)
 
 
-def evolve_taylor(
+def _bessel_terms(x: np.ndarray) -> np.ndarray:
+    """Index at which _bessel_j starts each member's recurrence; its table ends there."""
+    return np.ceil(1.5 * x).astype(int) + 200
+
+
+def _bessel_j(x: np.ndarray) -> np.ndarray:
+    """J_k(x_g) for every member g, as a (G, K) table with K > 1.5 x_g + 200.
+
+    Miller's backward recurrence J_{k-1} = (2k / x) J_k - J_{k+1}, started
+    from J = 1 at k = ceil(1.5 x_g) + 200 with zeros above, kept in range by
+    power-of-two rescalings (which round nothing) and normalised by
+    J_0 + 2 sum_k J_2k = 1 (Abramowitz & Stegun 9.1.46). Each member's start
+    depends on its own x alone and every operation is elementwise over
+    members, so a row does not depend on the rest of the batch. J_k(0) is 1
+    for k = 0 and 0 otherwise.
+    """
+    x = np.asarray(x, dtype=float)
+    start = _bessel_terms(x)
+    safe_x = np.where(x > 0.0, x, 1.0)
+    table = np.empty((x.size, start.max() + 1))
+    j, above, norm = np.zeros(x.size), np.zeros(x.size), np.zeros(x.size)
+    for k in range(start.max(), -1, -1):
+        j[start == k] = 1.0
+        big = np.abs(j) > _MILLER_RESCALE
+        if big.any():
+            scale = np.ldexp(1.0, -np.frexp(j[big])[1])
+            j[big] *= scale
+            above[big] *= scale
+            norm[big] *= scale
+            table[big, k + 1 :] *= scale[:, None]
+        table[:, k] = j
+        if k % 2 == 0:
+            norm += j if k == 0 else 2.0 * j
+        j, above = 2.0 * k / safe_x * j - above, j
+    table /= norm[:, None]
+    table[x == 0.0] = 0.0
+    table[x == 0.0, 0] = 1.0
+    return table
+
+
+def evolve_chebyshev(
     diagonal: np.ndarray, off_diagonal: np.ndarray, states: np.ndarray, t: float
 ) -> np.ndarray:
     """Evolve a batch of state blocks to time t, each under its own tridiagonal H.
@@ -260,14 +299,21 @@ def evolve_taylor(
     ``states[g]`` is a (k, n) block of states, one per row. Returns
     exp(-i H_g t) states[g] for every g as a (G, k, n) array.
 
-    The action is a truncated Taylor series on the three bands (Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33, 2011): no dense matrix, no LAPACK. Member
-    g takes ceil(||H_g||_1 t / theta) equal steps, and within a step it stops
-    adding terms once two consecutive terms are below unit roundoff times the
-    max |psi| of its state at the step's start; from then on its terms are
-    exact zeros. All arithmetic is elementwise on real and imaginary parts, so
-    a member's values do not depend on the rest of the batch. At t = 0 the
-    states come back unchanged.
+    The action is a Chebyshev expansion on the three bands (Tal-Ezer &
+    Kosloff, J. Chem. Phys. 81, 3967, 1984): no dense matrix, no LAPACK. The
+    hoppings are real symmetric, so the spectrum of H_g lies in the rectangle
+    of the Gershgorin rows' real parts and [min Im d, max Im d] (field of
+    values). With its centre c and half-width a (the larger half-side), a
+    step of length tau is
+        exp(-i H tau) psi = exp(-i c tau) sum_j (2 - delta_j0) (-i)^j
+                            J_j(a tau) T_j((H - c) / a) psi.
+    Member g takes ceil(a t / 1000) equal steps, all with one table of J_j.
+    Within a step it stops adding terms once two consecutive terms past
+    j = a tau are below unit roundoff times the largest |Re| or |Im| of its
+    sum; from then on its terms are exact zeros. A member whose sum stops
+    being finite stops too and comes back non-finite. All arithmetic is
+    elementwise on real and imaginary parts, so a member's values do not
+    depend on the rest of the batch. At t = 0 the states come back unchanged.
     """
     diagonal = np.asarray(diagonal, dtype=complex)
     off_diagonal = np.asarray(off_diagonal, dtype=float)
@@ -286,83 +332,127 @@ def evolve_taylor(
     if t == 0.0:
         return states.copy()
 
-    # ||H||_1 column by column; H = H^T, so it also bounds ||H x||_inf / ||x||_inf.
-    column = np.sqrt(diagonal.real * diagonal.real + diagonal.imag * diagonal.imag)
-    column[:, :-1] += np.abs(off_diagonal)
-    column[:, 1:] += np.abs(off_diagonal)
-    steps = np.maximum(1.0, np.ceil(column.max(axis=1) * t / _ACTION_THETA))
+    radius = np.zeros((members, n))
+    radius[:, :-1] += np.abs(off_diagonal)
+    radius[:, 1:] += np.abs(off_diagonal)
+    re_lo, re_hi = (diagonal.real - radius).min(axis=1), (diagonal.real + radius).max(axis=1)
+    im_lo, im_hi = diagonal.imag.min(axis=1), diagonal.imag.max(axis=1)
+    centre_re, centre_im = (re_lo + re_hi) / 2.0, (im_lo + im_hi) / 2.0
+    # The larger half-side, so that a = 0 only for H = c I, whose series is
+    # its first term.
+    half_width = np.maximum(re_hi - re_lo, im_hi - im_lo) / 2.0
+    steps = np.maximum(1.0, np.ceil(half_width * t / _CHEBYSHEV_MAX_ARGUMENT))
     if not np.all(steps < 2.0**63):
-        raise ValueError(f"t = {t:g} needs more Taylor steps than an int64 holds")
+        raise ValueError(f"t = {t:g} needs more Chebyshev steps than an int64 holds")
     steps = steps.astype(int)
+    tau = t / steps
+    argument = half_width * tau
+    bessel, terms = _bessel_j(argument), _bessel_terms(argument)
+    phase = np.exp(tau * (centre_im - 1j * centre_re))  # exp(-i c tau)
 
     # A state block lives in a flat (2, (n + 2) * G * k) array: real and
     # imaginary parts, then sites -1..n (the two end sites stay zero), then
     # members and states. The hoppings then act as two shifts of the flat
-    # array and the on-site block as one contiguous slab. Reversing the first
-    # axis gives (Im, Re), so
-    #   -i H tau psi = tau (D_im psi + sign (D_re + E) reversed(psi)),
-    # with sign = (+1, -1); tau and sign are folded into the coefficients.
+    # array and the on-site terms as contiguous slabs; reversing the first
+    # axis gives (Im, Re). 2 / a is folded into the coefficients of H - c.
     k = states.shape[1]
     stride = members * k  # one site of every member and state
-    sign = np.array([1.0, -1.0])[:, None, None, None]
-    tau = (t / steps)[None, None, :, None]
-    hops = np.zeros((2, n + 1, members, k))  # bond b joins sites b - 1 and b
-    hops[:, 1:n] = sign * tau * off_diagonal.T[None, :, :, None]
-    hop_left, hop_right = hops[:, :-1].reshape(2, -1), hops[:, 1:].reshape(2, -1)
-    # The on-site block is nonzero on a few sites only: apply it there.
-    sites = np.flatnonzero(np.any(diagonal != 0, axis=0))
-    block = slice(sites.min(), sites.max() + 1) if sites.size else slice(0, 0)
-    on_site_re = sign * tau * diagonal.real.T[None, block, :, None]
-    on_site_im = tau * diagonal.imag.T[None, block, :, None]
+    scale = 2.0 / np.where(half_width > 0.0, half_width, 1.0)[:, None]
 
-    def padded() -> tuple[np.ndarray, np.ndarray]:
-        flat = np.zeros((2, (n + 2) * stride))
-        return flat, flat.reshape(2, n + 2, members, k)[:, 1:-1]
+    def per_site(values: np.ndarray) -> np.ndarray:
+        """(G, m) per-member values as (m, G * k), repeated for each state."""
+        return np.repeat(values.T, k, axis=1)
 
-    squares, moduli = np.empty((2, (n + 2) * stride)), np.empty((n + 2) * stride)
+    hops = np.zeros((n + 1, stride))  # bond b joins sites b - 1 and b
+    hops[1:n] = per_site(scale * off_diagonal)
+    hop_left, hop_right = hops[:-1].reshape(-1), hops[1:].reshape(-1)
+    on_site_re = per_site(scale * (diagonal.real - centre_re[:, None])).reshape(-1)
+    # Im(d - c) is nonzero on a few sites only: apply it there.
+    on_site_im = scale * (diagonal.imag - centre_im[:, None])
+    nonzero = np.flatnonzero(np.any(on_site_im != 0, axis=0))
+    block = slice(nonzero.min(), nonzero.max() + 1) if nonzero.size else slice(0, 0)
+    on_site_im = np.array([-1.0, 1.0])[:, None, None] * per_site(on_site_im)[block]
 
-    def max_abs2(flat: np.ndarray) -> np.ndarray:
-        """Per member, the largest |psi|^2 of a flat block."""
-        np.square(flat, out=squares)
-        np.add(squares[0], squares[1], out=moduli)
+    def sites(flat: np.ndarray) -> np.ndarray:
+        """(2, n, G * k) view of a flat block's real sites."""
+        return flat.reshape(2, n + 2, stride)[:, 1:-1]
+
+    inner = slice(stride, -stride)
+    # One scratch block serves each term, the products of a step and the
+    # magnitudes of a convergence test in turn.
+    scratch = np.empty((2, n * stride))
+    term = scratch.reshape(2, n, stride)
+
+    def chebyshev_step(current: np.ndarray, previous: np.ndarray) -> None:
+        """previous <- 2 (H - c) / a current - previous."""
+        out = previous[:, inner]
+        np.multiply(hop_left, current[:, : -2 * stride], out=scratch)
+        np.subtract(scratch, out, out=out)
+        np.multiply(hop_right, current[:, 2 * stride :], out=scratch)
+        out += scratch
+        np.multiply(on_site_re, current[:, inner], out=scratch)
+        out += scratch
+        sites(previous)[:, block] += on_site_im * sites(current)[::-1, block]
+
+    def max_abs(flat: np.ndarray) -> np.ndarray:
+        """Per member, the largest |Re| or |Im| of a flat block (a square could overflow)."""
+        np.abs(flat[:, inner], out=scratch)
         # Sites first: one max over axes (0, 2) at once is about 30x slower.
-        per_state = moduli.reshape(n + 2, stride).max(axis=0)
+        per_state = scratch.reshape(2 * n, stride).max(axis=0)
         return per_state.reshape(members, k).max(axis=1)
 
-    psi_flat, psi = padded()
-    psi[0], psi[1] = states.real.transpose(2, 0, 1), states.imag.transpose(2, 0, 1)
-    term_flat, term = padded()
-    next_flat, next_term = padded()
-    scratch = np.empty_like(hop_left)
-    tol2 = (np.finfo(float).eps / 2.0) ** 2  # unit roundoff, squared
+    psi, acc, current, previous = (np.zeros((2, (n + 2) * stride)) for _ in range(4))
+    sites(psi)[0], sites(psi)[1] = (part.transpose(2, 0, 1).reshape(n, stride)
+                                    for part in (states.real, states.imag))
+    swap_sign = np.array([1.0, -1.0])[:, None, None]
+    unit_roundoff = np.finfo(float).eps / 2.0
     for step in range(int(steps.max())):
         live = step < steps
-        bound = tol2 * max_abs2(psi_flat)
-        np.copyto(term_flat, psi_flat)
-        term[:, :, ~live] = 0.0
+        # T_0 psi = psi and T_1 psi = (H - c) psi / a; members past their
+        # last step keep psi (first coefficient 1, no further terms).
+        np.copyto(previous, psi)
+        sites(previous)[:, :, np.repeat(~live, k)] = 0.0
+        current.fill(0.0)
+        chebyshev_step(previous, current)
+        current *= 0.5
+        np.multiply(np.repeat(np.where(live, bessel[:, 0], 1.0), k), sites(psi), out=sites(acc))
+        active = live.copy()
         small = np.zeros(members, dtype=bool)
-        for j in range(1, _ACTION_MAX_TERMS + 1):
-            swapped, out = term_flat[::-1], next_flat[:, stride:-stride]
-            np.multiply(hop_left, swapped[:, : -2 * stride], out=out)
-            np.multiply(hop_right, swapped[:, 2 * stride :], out=scratch)
-            out += scratch
-            next_term[:, block] += on_site_re * term[::-1, block]
-            next_term[:, block] += on_site_im * term[:, block]
-            out *= 1.0 / j
-            term_flat, next_flat = next_flat, term_flat
-            term, next_term = next_term, term
-            psi_flat += term_flat
-            was_small, small = small, max_abs2(term_flat) <= bound
-            stopped = live & small & was_small
-            if stopped.any():
-                term[:, :, stopped] = 0.0
-                live &= ~stopped
-                if not live.any():
-                    break
-        else:
-            raise RuntimeError("Taylor series failed to converge within a step")
+        for order in range(1, bessel.shape[1]):
+            # (-i)^order 2 J_order T_order psi: a real coefficient for even
+            # orders; odd ones carry -+i, which swaps Re and Im.
+            coefficient = np.repeat(2.0 * bessel[:, order], k)
+            if order % 4 >= 2:
+                coefficient = -coefficient
+            if order % 2 == 0:
+                np.multiply(coefficient, sites(current), out=term)
+            else:
+                np.multiply(swap_sign * coefficient, sites(current)[::-1], out=term)
+            sites(acc)[...] += term
+            if order > argument[active].min():
+                bound = unit_roundoff * max_abs(acc)
+                was_small = small
+                small = (order > argument) & (
+                    np.abs(2.0 * bessel[:, order]) * max_abs(current) <= bound
+                )
+                stopped = active & ((small & was_small) | ~np.isfinite(bound))
+                if stopped.any():
+                    for flat in (current, previous):
+                        sites(flat)[:, :, np.repeat(stopped, k)] = 0.0
+                    active &= ~stopped
+                    if not active.any():
+                        break
+                if np.any(active & (order >= terms)):
+                    raise RuntimeError("Chebyshev series failed to converge within a step")
+            chebyshev_step(current, previous)
+            current, previous = previous, current
+        factor = np.repeat(np.where(live, phase, 1.0), k)
+        (psi_re, psi_im), (acc_re, acc_im) = sites(psi), sites(acc)
+        psi_re[...] = factor.real * acc_re - factor.imag * acc_im
+        psi_im[...] = factor.real * acc_im + factor.imag * acc_re
     result = np.empty(states.shape, dtype=complex)
-    result.real, result.imag = psi[0].transpose(1, 2, 0), psi[1].transpose(1, 2, 0)
+    result.real, result.imag = (part.reshape(n, members, k).transpose(1, 2, 0)
+                                for part in sites(psi))
     return result
 
 

@@ -24,7 +24,7 @@ from .dynamics import (
     QuenchSpec,
     Trajectory,
     edge_states,
-    evolve_taylor,
+    evolve_chebyshev,
     run_quench,
 )
 from .lattice import LatticeConfig, build_hamiltonian, hamiltonian_bands
@@ -33,7 +33,7 @@ from .observables import (
     bipartite_norms,
     default_split,
 )
-from .parallel import thread_count
+from .parallel import _one_blas_thread, thread_count
 from .spectral import Sweep, match_branches, spectrum_sweep
 
 __all__ = [
@@ -370,23 +370,33 @@ def compute_ratio_sweep(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
 
     Returns the ``ratio_sweep.csv`` columns as arrays keyed by their header
     names. Both edge states are prepared once from the initial Hamiltonian,
-    then the whole grid is evolved in one batched Taylor action on the bands
-    of each final Hamiltonian (``evolve_taylor``).
+    on one BLAS thread (its one ``eig`` gains nothing from more), then the
+    whole grid is evolved in one batched Chebyshev expansion on the bands of
+    each final Hamiltonian (``evolve_chebyshev``). Raises RuntimeError when a
+    state or its half-chain weight stops being finite (a growing mode
+    overflowed).
     """
     lattice_initial = scenario_lattice(cfg, cfg.v_initial)
-    psi0 = edge_states(build_hamiltonian(lattice_initial), cfg.zero_mode_tol)
+    with _one_blas_thread():
+        psi0 = edge_states(build_hamiltonian(lattice_initial), cfg.zero_mode_tol)
     split = default_split(lattice_initial)
     grid = np.array(scenario_v_grid(cfg))
     diagonal, off_diagonal = map(np.array, zip(*(
         hamiltonian_bands(scenario_lattice(cfg, ratio)) for ratio in grid
     )))
     initial = np.stack([psi0[Edge.LEFT], psi0[Edge.RIGHT]])
-    states = evolve_taylor(
+    states = evolve_chebyshev(
         diagonal, off_diagonal, np.broadcast_to(initial, (grid.size, *initial.shape)),
         cfg.t_sample,
     )
     left, _ = bipartite_norms(states[:, 0], split)
     _, right = bipartite_norms(states[:, 1], split)
+    finite = np.isfinite(left) & np.isfinite(right)
+    if not finite.all():
+        raise RuntimeError(
+            f"the evolved edge-state weight at v/w={grid[np.argmin(finite)]:g} "
+            f"is not finite at t={cfg.t_sample:g}"
+        )
     vanishing = np.flatnonzero(left == 0.0)
     if vanishing.size:
         raise ZeroDivisionError(

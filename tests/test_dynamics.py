@@ -11,7 +11,7 @@ from nhssh.dynamics import (
     edge_states,
     evolve_propagator,
     evolve_spectral,
-    evolve_taylor,
+    evolve_chebyshev,
     initial_edge_state,
     run_quench,
 )
@@ -234,14 +234,14 @@ def test_trajectory_densities_match_states():
 
 
 # ---------------------------------------------------------------------------
-# Batched Taylor route (evolve_taylor) against the spectral and propagator routes
+# Batched Chebyshev route (evolve_chebyshev) against the spectral and propagator routes
 # ---------------------------------------------------------------------------
 
 def taylor_batch(configs, states, t):
-    """evolve_taylor of the same (k, n) block of states under each config."""
+    """evolve_chebyshev of the same (k, n) block of states under each config."""
     diagonal, off_diagonal = map(np.array, zip(*map(hamiltonian_bands, configs)))
     batch = np.broadcast_to(states, (len(configs), *states.shape))
-    return evolve_taylor(diagonal, off_diagonal, batch, t)
+    return evolve_chebyshev(diagonal, off_diagonal, batch, t)
 
 
 def spectral_at(es, block, t):
@@ -321,9 +321,17 @@ def test_taylor_route_t_zero_and_members_apart():
 
 def test_taylor_route_single_site_gain_and_loss():
     rates = np.array([0.3, -0.1, 0.0])  # loss, gain, neither
-    states = evolve_taylor((-1j * rates)[:, None], np.zeros((3, 0)),
+    states = evolve_chebyshev((-1j * rates)[:, None], np.zeros((3, 0)),
                            np.ones((3, 1, 1), dtype=complex), 5.0)
     np.testing.assert_allclose(states[:, 0, 0], np.exp(-rates * 5.0), rtol=1e-14)
+
+
+def test_chebyshev_route_uncoupled_gain_and_loss_sites():
+    # No hopping and equal Re d: the enclosure's real side is a point, so the
+    # imaginary side sets the half-width.
+    diagonal = np.array([[0.5 - 0.3j, 0.5 + 0.2j, 0.5 + 0.0j]])
+    states = evolve_chebyshev(diagonal, np.zeros((1, 2)), np.ones((1, 1, 3), dtype=complex), 5.0)
+    np.testing.assert_allclose(states[0, 0], np.exp(-1j * diagonal[0] * 5.0), rtol=1e-13)
 
 
 def test_taylor_route_rejects_malformed_input():
@@ -337,7 +345,87 @@ def test_taylor_route_rejects_malformed_input():
                  (diagonal, off_diagonal, states, np.nan),
                  (diagonal, off_diagonal, states, 1e300)]:
         with pytest.raises(ValueError):
-            evolve_taylor(*args)
+            evolve_chebyshev(*args)
+
+
+def bessel_by_quadrature(x: float, k: int) -> float:
+    """J_k(x) = (1/2pi) int cos(x sin(theta) - k theta) over one period, by the
+    trapezoid rule on 2 (x + k) + 64 points; k theta is reduced mod 2 pi exactly."""
+    points = int(2 * (x + k)) + 64
+    j = np.arange(points)
+    phase = 2.0 * np.pi * ((k * j) % points) / points
+    return float(np.mean(np.cos(x * np.sin(2.0 * np.pi * j / points) - phase)))
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5, 30.0, 285.0, 1700.0])
+def test_bessel_coefficients_match_the_integral_representation(x):
+    [table] = dynamics._bessel_j(np.array([x]))
+    orders = int(1.5 * x) + 201
+    assert table.size >= orders
+    reference = np.array([bessel_by_quadrature(x, k) for k in range(orders)])
+    assert np.max(np.abs(table[:orders] - reference)) <= 1e-13
+    assert table[0] ** 2 + 2.0 * np.sum(table[1:] ** 2) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_bessel_coefficient_rows_do_not_depend_on_the_batch():
+    xs = np.array([1700.0, 0.0, 30.0, 0.5, 285.0])
+    batch = dynamics._bessel_j(xs)
+    for x, row in zip(xs, batch):
+        [alone] = dynamics._bessel_j(np.array([x]))
+        assert np.array_equal(row[: alone.size], alone)
+        assert not row[alone.size :].any()
+
+
+def test_chebyshev_route_follows_propagator_past_a_band_edge_growing_mode():
+    # The strong block's growing mode, E = 2.48 + 0.64i, lies above the bulk
+    # band (|Re E| <= 1.8), where the terms of the expansion cancel the most.
+    config = LatticeConfig(n_cells=30, v=0.8, region_start=29, region_end=32,
+                           u_re=2.2, u_im=0.9)
+    psi0 = edge_states(build_hamiltonian(small_pt_config(0.25)))
+    block = np.stack([psi0[Edge.LEFT], psi0[Edge.RIGHT]])
+    h = build_hamiltonian(config)
+    propagated = np.array([evolve_propagator(h, psi, [80.0]).states[0] for psi in block])
+    [chebyshev] = taylor_batch([config], block, 80.0)
+    assert np.max(np.abs(propagated)) > 1e12  # the growing mode dominates
+    assert relative_error(chebyshev, propagated) <= 1e-10
+
+
+def test_chebyshev_route_matches_propagator_over_several_steps(flagship_edge_block):
+    config = flagship_config(1.5)
+    h = build_hamiltonian(config)
+    propagated = np.array([evolve_propagator(h, psi, [500.0]).states[0]
+                           for psi in flagship_edge_block])
+    [chebyshev] = taylor_batch([config], flagship_edge_block, 500.0)
+    assert relative_error(chebyshev, propagated) <= 1e-10
+
+
+def test_chebyshev_route_members_apart_with_different_step_counts():
+    # At t = 300, v/w = 1.3 takes one step (a t = 802) and v/w = 2.0 two (1012).
+    configs = [small_pt_config(v) for v in (1.3, 2.0)]
+    psi0 = edge_states(build_hamiltonian(small_pt_config(0.25)))
+    block = np.stack([psi0[Edge.LEFT], psi0[Edge.RIGHT]])
+    batch = taylor_batch(configs, block, 300.0)
+    for config, member in zip(configs, batch):
+        [alone] = taylor_batch([config], block, 300.0)
+        assert np.array_equal(alone, member)
+        h = build_hamiltonian(config)
+        propagated = np.array([evolve_propagator(h, psi, [300.0]).states[0] for psi in block])
+        assert relative_error(member, propagated) <= 1e-10
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_chebyshev_route_returns_an_overflowed_member_non_finite():
+    # A pure gain/loss pair on sites 5 and 6 of a 10-site chain: |psi| passes
+    # 1e200 by t = 400 and the float range before t = 1000.
+    configs = [LatticeConfig(n_cells=5, v=1.0, region_start=5, region_end=6, u_im=u_im)
+               for u_im in (2.0, 0.0)]
+    block = np.zeros((1, 10), dtype=complex)
+    block[0, 4] = 1.0
+    overflowed, bounded = taylor_batch(configs, block, 1000.0)
+    assert not np.isfinite(overflowed).all()
+    [alone] = taylor_batch(configs[1:], block, 1000.0)
+    assert np.array_equal(bounded, alone)
+    assert np.linalg.norm(bounded) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_forced_propagator_fallback_matches_spectral_route_at_flagship_size(monkeypatch):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhssh import dynamics, scenarios
+from nhssh import dynamics, parallel, scenarios
 from nhssh.cli import main as cli_main
 from nhssh.dynamics import Edge, edge_states
 from nhssh.lattice import build_hamiltonian
@@ -358,6 +358,29 @@ def test_ratio_sweep_at_t_zero_is_the_initial_edge_state_ratio():
     assert sweep["ratio"].tolist() == [rho_right / rho_left] * 9
 
 
+def test_ratio_sweep_edge_state_eig_runs_on_one_blas_thread(tmp_path, monkeypatch):
+    api = parallel._blas_threads()
+    if api is None:
+        pytest.skip("numpy's BLAS exports no known OpenBLAS thread-count setter")
+    get, set_ = api
+    counts = []
+    real_eig = np.linalg.eig
+
+    def reading_eig(h):
+        counts.append(get())
+        return real_eig(h)
+
+    monkeypatch.setattr(np.linalg, "eig", reading_eig)
+    outside = get()
+    try:
+        set_(2)
+        compute_ratio_sweep(tiny_config("ratio-sweep", tmp_path))
+        assert counts == [1]
+        assert get() == 2
+    finally:
+        set_(outside)
+
+
 def test_ratio_sweep_zero_denominator(tmp_path, monkeypatch):
     # All weight on the right half: the left-half norm in the denominator is 0.
     monkeypatch.setattr(scenarios, "bipartite_norms", lambda psi, split: (0.0, 1.0))
@@ -494,7 +517,7 @@ def test_cli_t_sample_beyond_the_taylor_step_count_exit_code(tmp_path, capsys):
     args = tiny_args("ratio-sweep", tmp_path) + ["--set", "t_sample=1e300"]
     assert cli_main(args) == 3
     err = capsys.readouterr().err
-    assert "ratio-sweep" in err and "Taylor steps" in err
+    assert "ratio-sweep" in err and "Chebyshev steps" in err
     assert not (tmp_path / "ratio_sweep.csv").exists()
 
 
@@ -509,6 +532,19 @@ def test_cli_overflowing_quench_exit_code(tmp_path, capsys, scenario):
     assert cli_main(args) == 3
     err = capsys.readouterr().err
     assert scenario in err and "edge state is not finite at t=" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# Block modes with Im E up to 0.064 grow |psi|^2 past the float range by t = 10000.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_overflowing_ratio_sweep_exit_code(tmp_path, capsys):
+    args = ["run", "--scenario", "ratio-sweep", "--out", str(tmp_path)]
+    for item in ("n_cells=30", "region_start=29", "region_end=32", "t_sample=10000",
+                 "v_grid_stop=1.1"):
+        args += ["--set", item]
+    assert cli_main(args) == 3
+    err = capsys.readouterr().err
+    assert "ratio-sweep" in err and "at v/w=1 is not finite at t=10000" in err
     assert not list(tmp_path.glob("*.csv"))
 
 
