@@ -73,7 +73,8 @@ class Trajectory:
 
     @property
     def densities(self) -> np.ndarray:
-        return np.abs(self.states) ** 2
+        densities = np.abs(self.states)
+        return np.square(densities, out=densities)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +170,14 @@ def evolve_spectral(
         raise ValueError(f"psi0 has shape {psi0.shape}, expected ({es.dim},)")
     times = np.asarray(times, dtype=float)
     coeff = es.left_vectors.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(es.eigenvalues, times))
-    states = (es.right_vectors @ (coeff[:, np.newaxis] * phases)).T
+    # One (eigenvalue, time) table, transformed in place. The operands keep the
+    # order of -1j * x and coeff * x: a complex product can differ in its last
+    # bit when they are swapped.
+    phases = np.outer(es.eigenvalues, times)
+    np.multiply(-1j, phases, out=phases)
+    np.exp(phases, out=phases)
+    np.multiply(coeff[:, np.newaxis], phases, out=phases)
+    states = (es.right_vectors @ phases).T
     return Trajectory(times=times, states=states)
 
 

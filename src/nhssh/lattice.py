@@ -16,9 +16,7 @@ __all__ = [
     "LatticeConfig",
     "build_hamiltonian",
     "hamiltonian_bands",
-    "perturbation_matrix",
     "edge_correction",
-    "is_pt_symmetric",
     "is_pt_matrix",
 ]
 
@@ -110,15 +108,6 @@ def build_hamiltonian(config: LatticeConfig) -> np.ndarray:
     return h
 
 
-def perturbation_matrix(config: LatticeConfig) -> np.ndarray:
-    """Diagonal-only part of the Hamiltonian: the complex on-site block alone.
-
-    build_hamiltonian(config) decomposes entrywise exactly into the pure-chain
-    matrix (empty region) plus this matrix.
-    """
-    return np.diag(hamiltonian_bands(config)[0])
-
-
 def edge_correction(config: LatticeConfig, edge_state: np.ndarray) -> complex:
     """First-order energy shift of a unit-norm state from the on-site block.
 
@@ -132,14 +121,6 @@ def edge_correction(config: LatticeConfig, edge_state: np.ndarray) -> complex:
         )
     diag = hamiltonian_bands(config)[0]
     return complex(np.sum(diag * np.abs(psi) ** 2))
-
-
-def is_pt_symmetric(config: LatticeConfig) -> bool:
-    """True when parity (site-order reversal) plus complex conjugation fixes H.
-
-    build_hamiltonian is exact arithmetic, so the comparison is exact.
-    """
-    return is_pt_matrix(build_hamiltonian(config))
 
 
 def is_pt_matrix(h: np.ndarray) -> bool:

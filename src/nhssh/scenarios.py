@@ -246,15 +246,15 @@ def _write_table(path: Path, columns: dict[str, Sequence]) -> Path:
         for c in columns.values()
     ) + "\n"
     rows = len(next(iter(columns.values())))
-    # Python values exist for one chunk of rows at a time and the text is kept
-    # encoded, so memory stays near twice the file size; one format call per
-    # row builds its line.
-    chunks = [(",".join(columns) + "\n").encode("ascii")]
-    for start in range(0, rows, _TABLE_CHUNK_ROWS):
-        cells = [c[start : start + _TABLE_CHUNK_ROWS] for c in columns.values()]
-        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
-        chunks.append("".join(map(row.format, *cells)).encode("ascii"))
-    path.write_bytes(b"".join(chunks))
+    # Python values and text exist for one chunk of rows at a time, which goes
+    # to the file before the next is built; one format call per row builds
+    # its line.
+    with path.open("wb") as f:
+        f.write((",".join(columns) + "\n").encode("ascii"))
+        for start in range(0, rows, _TABLE_CHUNK_ROWS):
+            cells = [c[start : start + _TABLE_CHUNK_ROWS] for c in columns.values()]
+            cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
+            f.write("".join(map(row.format, *cells)).encode("ascii"))
     return path
 
 
@@ -278,27 +278,31 @@ def _write_sweep(path: Path, sweep: Sweep, branch: np.ndarray | None = None) -> 
     return _write_table(path, columns)
 
 
-def _write_heatmap(pgm_path: Path, sidecar_path: Path, traj: Trajectory) -> list[Path]:
+def _write_heatmap(
+    pgm_path: Path, sidecar_path: Path, times: np.ndarray, densities: np.ndarray
+) -> list[Path]:
     """Binary 16-bit graymap: rows are sites, columns time samples.
 
-    Intensities are densities clamped to the trajectory's 99th percentile so
-    gain spikes do not wash out the cone; the clamp is recorded in a sidecar.
+    ``densities`` is the (time, site) table of one trajectory. Intensities are
+    densities clamped to its 99th percentile so gain spikes do not wash out
+    the cone; the clamp is recorded in a sidecar.
     """
-    densities = traj.densities
-    image = densities.T
     rho_max = float(np.percentile(densities, _CLAMP_PERCENTILE))
     if rho_max > 0.0:
-        pixels = np.round(np.clip(image / rho_max, 0.0, 1.0) * _PGM_MAXVAL)
+        pixels = densities / rho_max
+        np.clip(pixels, 0.0, 1.0, out=pixels)
+        np.multiply(pixels, _PGM_MAXVAL, out=pixels)
+        np.round(pixels, out=pixels)
     else:
-        pixels = np.zeros_like(image)
-    height, width = image.shape
+        pixels = np.zeros_like(densities)
+    width, height = densities.shape
     header = f"P5\n{width} {height}\n{_PGM_MAXVAL}\n".encode("ascii")
-    pgm_path.write_bytes(header + pixels.astype(">u2").tobytes())
+    pgm_path.write_bytes(header + pixels.T.astype(">u2").tobytes())
     sidecar = (
         f"heatmap: {pgm_path.name}\n"
         f"rows: sites 1..{height} (top to bottom)\n"
-        f"columns: {width} time samples from t={_fmt(traj.times[0])}"
-        f" to t={_fmt(traj.times[-1])}\n"
+        f"columns: {width} time samples from t={_fmt(times[0])}"
+        f" to t={_fmt(times[-1])}\n"
         f"intensity: site density clamped to [0, rho_max],"
         f" scaled to 0..{_PGM_MAXVAL}\n"
         f"rho_max: {_fmt(rho_max)} ({_fmt(_CLAMP_PERCENTILE)}th percentile"
@@ -335,20 +339,21 @@ def _run_sweep(cfg: ScenarioConfig, out: Path, *, labeled: bool) -> list[Path]:
 
 
 def _run_lightcone(cfg: ScenarioConfig, out: Path) -> list[Path]:
+    trajectories = _quench(cfg)
+    times = time_grid(cfg)
+    n = 2 * cfg.n_cells
+    t_column = _repeat_each([_fmt(t) for t in times.tolist()], n)
+    site_column = [str(site) for site in range(1, n + 1)] * times.size
     outputs: list[Path] = []
-    for side, traj in _quench(cfg).items():
-        densities = traj.densities
-        samples, n = densities.shape
-        columns = {
-            "t": _repeat_each([_fmt(t) for t in traj.times.tolist()], n),
-            "site": [str(site) for site in range(1, n + 1)] * samples,
-            "density": densities.ravel(),
-        }
+    for side in tuple(trajectories):
+        # Each side's states are dropped once its densities exist.
+        densities = trajectories.pop(side).densities
         name = f"lightcone_{side.value}"
+        columns = {"t": t_column, "site": site_column, "density": densities.ravel()}
         outputs.append(_write_table(out / f"{name}.csv", columns))
-        outputs.extend(
-            _write_heatmap(out / f"{name}.pgm", out / f"{name}_clamp.txt", traj)
-        )
+        outputs.extend(_write_heatmap(
+            out / f"{name}.pgm", out / f"{name}_clamp.txt", times, densities
+        ))
     return outputs
 
 

@@ -129,6 +129,21 @@ def test_propagator_handles_offset_and_nonuniform_grids():
     assert np.max(np.abs(traj_s.densities - traj_p.densities)) < 1e-10
 
 
+def test_spectral_route_and_densities_are_bitwise_the_out_of_place_expressions():
+    # The flagship quench, both sides, 1001 samples, through the real form as
+    # run_quench decomposes it. evolve_spectral and densities work in place;
+    # swapping a complex product's operands would change last bits here.
+    es = eigendecompose(build_hamiltonian(flagship_config(1.5)), pt_real=True)
+    times = np.arange(1001) * 0.5
+    for psi0 in edge_states(build_hamiltonian(flagship_config(0.25))).values():
+        traj = evolve_spectral(es, psi0, times)
+        coeff = es.left_vectors.conj().T @ psi0
+        phases = np.exp(-1j * np.outer(es.eigenvalues, times))
+        expected = (es.right_vectors @ (coeff[:, np.newaxis] * phases)).T
+        assert traj.states.tobytes() == expected.tobytes()
+        assert traj.densities.tobytes() == (np.abs(expected) ** 2).tobytes()
+
+
 @settings(deadline=None, max_examples=10)
 @given(scale=st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0,
                                 allow_nan=False, allow_infinity=False))

@@ -8,8 +8,7 @@ from nhssh.lattice import (
     build_hamiltonian,
     edge_correction,
     hamiltonian_bands,
-    is_pt_symmetric,
-    perturbation_matrix,
+    is_pt_matrix,
 )
 
 from conftest import flagship_config
@@ -64,12 +63,12 @@ def test_hermitian_limit_exact():
 
 
 def test_perturbation_empty_region_is_zero():
-    hp = perturbation_matrix(LatticeConfig(n_cells=5, v=0.3))
+    hp = np.diag(hamiltonian_bands(LatticeConfig(n_cells=5, v=0.3))[0])
     assert np.all(hp == 0)
 
 
 def test_perturbation_four_entries():
-    hp = perturbation_matrix(flagship_config(0.25))
+    hp = np.diag(hamiltonian_bands(flagship_config(0.25))[0])
     nonzero = np.argwhere(hp != 0)
     assert len(nonzero) == 4
     assert all(i == j for i, j in nonzero)
@@ -94,7 +93,7 @@ def test_decomposition_identity(n_cells, v, u_re, u_im, data):
                            region_end=end, u_re=u_re, u_im=u_im)
     total = build_hamiltonian(config)
     pure = build_hamiltonian(config.without_region())
-    np.testing.assert_array_equal(total, pure + perturbation_matrix(config))
+    np.testing.assert_array_equal(total, pure + np.diag(hamiltonian_bands(config)[0]))
 
 
 def loop_hamiltonian(config: LatticeConfig) -> np.ndarray:
@@ -135,7 +134,6 @@ def test_bands_build_the_dense_hamiltonian_bitwise(n_cells, v, u_re, u_im, data)
         assert off_diagonal.dtype == float
         assert diagonal.tobytes() == np.diagonal(h).tobytes()
         assert off_diagonal.tobytes() == np.diagonal(h, 1).real.tobytes()
-        assert perturbation_matrix(config).tobytes() == np.diag(diagonal).tobytes()
 
 
 def test_edge_correction_disjoint_support_exactly_zero():
@@ -168,9 +166,9 @@ def test_edge_correction_dimension_mismatch():
 
 
 def test_pt_symmetry_examples():
-    assert is_pt_symmetric(flagship_config(0.25))
-    assert not is_pt_symmetric(flagship_config(0.25, region=(107, 110)))
-    assert is_pt_symmetric(LatticeConfig(n_cells=110, v=0.25))
+    assert is_pt_matrix(build_hamiltonian(flagship_config(0.25)))
+    assert not is_pt_matrix(build_hamiltonian(flagship_config(0.25, region=(107, 110))))
+    assert is_pt_matrix(build_hamiltonian(LatticeConfig(n_cells=110, v=0.25)))
 
 
 def test_pt_predicate_centered_vs_shifted():
@@ -178,8 +176,8 @@ def test_pt_predicate_centered_vs_shifted():
                              u_re=0.3, u_im=0.4)
     shifted = LatticeConfig(n_cells=20, v=0.5, region_start=17, region_end=20,
                             u_re=0.3, u_im=0.4)
-    assert is_pt_symmetric(centered)
-    assert not is_pt_symmetric(shifted)
+    assert is_pt_matrix(build_hamiltonian(centered))
+    assert not is_pt_matrix(build_hamiltonian(shifted))
 
 
 @settings(deadline=None, max_examples=30)

@@ -1,4 +1,5 @@
 import filecmp
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -191,6 +192,52 @@ def test_lightcone_heatmap_structure(tmp_path):
     assert pixels.max() == 65535  # clamp maps the top percentile to full scale
     sidecar = (tmp_path / "lightcone_left_clamp.txt").read_text()
     assert "rho_max" in sidecar and "percentile" in sidecar
+
+
+def test_flagship_heatmap_pixels_are_bitwise_the_out_of_place_expression(tmp_path):
+    cfg = ScenarioConfig(scenario="lightcone", output_dir=str(tmp_path))
+    times = time_grid(cfg)
+    for side, traj in scenarios._quench(cfg).items():
+        densities = traj.densities
+        pgm = tmp_path / f"{side.value}.pgm"
+        scenarios._write_heatmap(pgm, tmp_path / f"{side.value}.txt", times, densities)
+        image = densities.T
+        rho_max = float(np.percentile(densities, 99.0))
+        pixels = np.round(np.clip(image / rho_max, 0.0, 1.0) * 65535)
+        header = f"P5\n{times.size} {densities.shape[1]}\n65535\n".encode("ascii")
+        assert pgm.read_bytes() == header + pixels.astype(">u2").tobytes()
+
+
+def test_write_table_streams_the_bytes_of_one_joined_text(tmp_path):
+    rows = 200_000
+    rng = np.random.default_rng(7)
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    floats[:6] = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-320]
+    floats[rng.integers(0, rows, 50)] = np.nan
+    columns = {
+        "x": floats,
+        "k": np.arange(-rows // 2, rows - rows // 2),
+        "side": ["left", "right", "center"] * (rows // 3) + ["left"] * (rows % 3),
+    }
+    # The reference: every row's text joined in memory, then written at once.
+    reference = "x,k,side\n" + "".join(
+        f"{format(x, '.12g')},{k},{side}\n"
+        for x, k, side in zip(floats.tolist(), columns["k"].tolist(), columns["side"])
+    )
+    expected = reference.encode("ascii")
+    for special in (b"\n-0,", b"\n0,", b"\nnan,", b"\ninf,", b"\n-inf,"):
+        assert special in expected
+
+    path = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        scenarios._write_table(path, columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == expected
+    # A writer that joins the whole text first holds at least the file.
+    assert peak < len(expected) / 4
 
 
 def test_bipartite_scenario_output(tmp_path):
