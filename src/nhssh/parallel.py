@@ -4,7 +4,9 @@ Results are collected in submission order, so output never depends on the
 schedule. The thread count comes from the NHSSH_THREADS environment variable
 (default 1, i.e. plain sequential loops). For the whole map, numpy's OpenBLAS
 runs on one thread, so the workers are the only parallelism and serial and
-threaded maps compute the same bits.
+threaded maps compute the same bits. ``scenarios.run_scenario`` holds the same
+pin around every scenario, so no output depends on the core count or on
+OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
 def _one_blas_thread() -> Iterator[None]:
     """Run the block on one BLAS thread; restore the previous count after.
 
-    The count is process-wide: maps overlapping in time would undo each
-    other's pin, and nhssh never overlaps them.
+    The count is process-wide: blocks overlapping in time on different
+    threads would undo each other's pin, and nhssh never overlaps them; a
+    nested block leaves the count at 1.
     """
     api = _blas_threads()
     if api is None:

@@ -238,23 +238,26 @@ def _write_table(path: Path, columns: dict[str, Sequence]) -> Path:
     """CSV whose header is the keys of ``columns`` and whose rows zip their values.
 
     Each column holds one kind of value, read from its first entry: floats
-    (numpy's too) print with ``_FLOAT_FORMAT``, strings as they are, anything
-    else through ``str``.
+    (numpy's too) print with ``_FLOAT_FORMAT``, anything else through ``str``.
     """
     row = ",".join(
-        "{:" + _FLOAT_FORMAT + "}" if isinstance(c[0], float) else "{}"
+        "%" + _FLOAT_FORMAT if len(c) and isinstance(c[0], float) else "%s"
         for c in columns.values()
     ) + "\n"
+    width = len(columns)
     rows = len(next(iter(columns.values())))
     # Python values and text exist for one chunk of rows at a time, which goes
-    # to the file before the next is built; one format call per row builds
-    # its line.
+    # to the file before the next is built; one % call formats the chunk, its
+    # columns interleaved row by row into one flat argument list.
     with path.open("wb") as f:
         f.write((",".join(columns) + "\n").encode("ascii"))
         for start in range(0, rows, _TABLE_CHUNK_ROWS):
-            cells = [c[start : start + _TABLE_CHUNK_ROWS] for c in columns.values()]
-            cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
-            f.write("".join(map(row.format, *cells)).encode("ascii"))
+            count = min(_TABLE_CHUNK_ROWS, rows - start)
+            flat = [None] * (width * count)
+            for j, column in enumerate(columns.values()):
+                cells = column[start : start + count]
+                flat[j::width] = cells.tolist() if isinstance(cells, np.ndarray) else cells
+            f.write(((row * count) % tuple(flat)).encode("ascii"))
     return path
 
 
@@ -375,15 +378,15 @@ def compute_ratio_sweep(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
 
     Returns the ``ratio_sweep.csv`` columns as arrays keyed by their header
     names. Both edge states are prepared once from the initial Hamiltonian,
-    on one BLAS thread (its one ``eig`` gains nothing from more), then the
-    whole grid is evolved in one batched Chebyshev expansion on the bands of
-    each final Hamiltonian (``evolve_chebyshev``). Raises RuntimeError when a
-    state or its half-chain weight stops being finite (a growing mode
-    overflowed).
+    then the whole grid is evolved in one batched Chebyshev expansion on the
+    bands of each final Hamiltonian (``evolve_chebyshev``). ``run_scenario``
+    runs it on one BLAS thread, like every scenario, so its bytes depend
+    neither on the core count nor on ``OPENBLAS_NUM_THREADS``; a direct call
+    uses the caller's BLAS threads. Raises RuntimeError when a state or its
+    half-chain weight stops being finite (a growing mode overflowed).
     """
     lattice_initial = scenario_lattice(cfg, cfg.v_initial)
-    with _one_blas_thread():
-        psi0 = edge_states(build_hamiltonian(lattice_initial), cfg.zero_mode_tol)
+    psi0 = edge_states(build_hamiltonian(lattice_initial), cfg.zero_mode_tol)
     split = default_split(lattice_initial)
     grid = np.array(scenario_v_grid(cfg))
     diagonal, off_diagonal = map(np.array, zip(*(
@@ -449,8 +452,14 @@ SCENARIOS = tuple(_RUNNERS)
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[Path]:
-    """Run one scenario, returning the paths written (deterministic bytes)."""
+    """Run one scenario, returning the paths written (deterministic bytes).
+
+    Every BLAS and LAPACK call of the run is on one BLAS thread, and the
+    caller's count is restored after, so the bytes depend neither on the core
+    count nor on ``OPENBLAS_NUM_THREADS``.
+    """
     validate_config(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[cfg.scenario](cfg, out)
+    with _one_blas_thread():
+        return _RUNNERS[cfg.scenario](cfg, out)

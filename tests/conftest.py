@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from nhssh import parallel
 from nhssh.lattice import LatticeConfig, build_hamiltonian
 from nhssh.spectral import eigendecompose
 
@@ -32,3 +33,21 @@ def flagship_initial():
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of numpy's OpenBLAS thread count, which starts the test at 2
+    and is restored after it."""
+    api = parallel._blas_threads()
+    if api is None:
+        pytest.skip("numpy's BLAS exports no known OpenBLAS thread-count setter")
+    get, set_ = api
+    outside = get()
+    set_(2)
+    try:
+        if get() != 2:
+            pytest.skip("numpy's OpenBLAS cannot run on two threads")
+        yield api
+    finally:
+        set_(outside)

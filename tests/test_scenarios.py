@@ -1,12 +1,15 @@
 import filecmp
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nhssh import dynamics, parallel, scenarios
+from nhssh import dynamics, scenarios
 from nhssh.cli import main as cli_main
 from nhssh.dynamics import Edge, edge_states
 from nhssh.lattice import build_hamiltonian
@@ -240,6 +243,41 @@ def test_write_table_streams_the_bytes_of_one_joined_text(tmp_path):
     assert peak < len(expected) / 4
 
 
+# Floats whose text is easy to get wrong: signed zeros, subnormals, the ends
+# of the exponent range and the non-finite values.
+_AWKWARD_FLOATS = [0.0, -0.0, -1.5, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300,
+                   -1e-300, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=40, deadline=None)
+@example(rows=4097, floats=_AWKWARD_FLOATS, ints=[-(2**63), 0, 2**63 - 1],
+         texts=["left", "", "right"], as_arrays=True)
+@example(rows=0, floats=[1.0], ints=[1], texts=["x"], as_arrays=False)
+@given(
+    rows=st.sampled_from([0, 1, 4096, 4097]),
+    floats=st.lists(st.one_of(st.sampled_from(_AWKWARD_FLOATS), st.floats()),
+                    min_size=1, max_size=64),
+    ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=16),
+    texts=st.lists(st.text("abcxyz_-. ", max_size=8), min_size=1, max_size=8),
+    as_arrays=st.booleans(),
+)
+def test_write_table_writes_the_bytes_of_a_per_row_format_reference(
+        tmp_path_factory, rows, floats, ints, texts, as_arrays):
+    def cycled(values):
+        return [values[k % len(values)] for k in range(rows)]
+
+    x, k, side = cycled(floats), cycled(ints), cycled(texts)
+    columns = {"x": np.array(x) if as_arrays else x,
+               "k": np.array(k, dtype=np.int64) if as_arrays else k,
+               "side": side}
+    expected = "x,k,side\n" + "".join(
+        f"{format(a, '.12g')},{str(b)},{str(c)}\n" for a, b, c in zip(x, k, side)
+    )
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    scenarios._write_table(path, columns)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
 def test_bipartite_scenario_output(tmp_path):
     run_scenario(tiny_config("bipartite", tmp_path))
     lines = read_lines(tmp_path / "bipartite.csv")
@@ -341,6 +379,22 @@ def test_thread_count_does_not_change_flagship_size_sweeps(tmp_path, monkeypatch
             assert filecmp.cmp(fa, fb, shallow=False), f"{scenario}: {fa.name} differs"
 
 
+@pytest.mark.parametrize("scenario", ["lightcone", "bipartite"])
+def test_flagship_quench_bytes_do_not_depend_on_the_callers_blas_threads(
+        scenario, tmp_path, blas_threads):
+    """220 sites, where the caller's BLAS threads would split eig, inv and GEMM."""
+    _, set_ = blas_threads
+    runs = []
+    for count in (1, 2):
+        set_(count)
+        cfg = ScenarioConfig(scenario=scenario, t_max=50.0,
+                             output_dir=str(tmp_path / str(count)))
+        runs.append(run_scenario(cfg))
+    assert [f.name for f in runs[0]] == [f.name for f in runs[1]]
+    for fa, fb in zip(*runs):
+        assert filecmp.cmp(fa, fb, shallow=False), f"{scenario}: {fa.name} differs"
+
+
 def test_ratio_crossing_detector():
     assert ratio_crossing([1.0, 2.0], [1.5, 0.5]) == pytest.approx(1.5)
     assert ratio_crossing([1.0, 2.0], [0.5, 1.5]) == pytest.approx(1.5)
@@ -405,11 +459,14 @@ def test_ratio_sweep_at_t_zero_is_the_initial_edge_state_ratio():
     assert sweep["ratio"].tolist() == [rho_right / rho_left] * 9
 
 
-def test_ratio_sweep_edge_state_eig_runs_on_one_blas_thread(tmp_path, monkeypatch):
-    api = parallel._blas_threads()
-    if api is None:
-        pytest.skip("numpy's BLAS exports no known OpenBLAS thread-count setter")
-    get, set_ = api
+class _StopAtEig(Exception):
+    pass
+
+
+@pytest.mark.parametrize("scenario", scenarios.SCENARIOS)
+def test_every_scenario_runs_its_eig_on_one_blas_thread(scenario, tmp_path,
+                                                        monkeypatch, blas_threads):
+    get, _ = blas_threads
     counts = []
     real_eig = np.linalg.eig
 
@@ -417,15 +474,21 @@ def test_ratio_sweep_edge_state_eig_runs_on_one_blas_thread(tmp_path, monkeypatc
         counts.append(get())
         return real_eig(h)
 
+    def failing_eig(h):
+        counts.append(get())
+        raise _StopAtEig
+
     monkeypatch.setattr(np.linalg, "eig", reading_eig)
-    outside = get()
-    try:
-        set_(2)
-        compute_ratio_sweep(tiny_config("ratio-sweep", tmp_path))
-        assert counts == [1]
-        assert get() == 2
-    finally:
-        set_(outside)
+    run_scenario(tiny_config(scenario, tmp_path / "run"))
+    assert counts and set(counts) == {1}
+    assert get() == 2
+
+    counts.clear()
+    monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    with pytest.raises(_StopAtEig):
+        run_scenario(tiny_config(scenario, tmp_path / "fail"))
+    assert counts == [1]
+    assert get() == 2
 
 
 def test_ratio_sweep_zero_denominator(tmp_path, monkeypatch):
