@@ -3,17 +3,26 @@
 Exit codes: 0 success, 2 config problem (parse or validation, including an
 NHSSH_THREADS value that is not a positive integer), 3 simulation failure
 (missing edge state, failed propagator fallback, unwritable output).
+
+Importing this module sets OPENBLAS_NUM_THREADS=1 in the process environment
+when it is unset, before numpy is loaded; ``import nhssh`` sets nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .dynamics import NoEdgeStateError
-from .scenarios import (
+# Every scenario runs its BLAS calls on one thread (parallel._one_blas_thread),
+# so a CLI process never uses OpenBLAS's thread pool: load it with one thread.
+# This must run before numpy is imported; a value the caller set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .dynamics import NoEdgeStateError  # noqa: E402
+from .scenarios import (  # noqa: E402
     SCENARIOS,
     ConfigError,
     ScenarioConfig,
@@ -22,7 +31,7 @@ from .scenarios import (
     run_scenario,
     validate_config,
 )
-from .spectral import NearDefectiveError
+from .spectral import NearDefectiveError  # noqa: E402
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -90,5 +89,9 @@ def thread_map(fn: Callable[[_T], _R], items: Iterable[_T], threads: int = 1) ->
     with _one_blas_thread():
         if threads <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
+        # Imported here: concurrent.futures loads logging and queue, which a
+        # serial map never needs.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
