@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 config problem (parse or validation, including an
 NHSSH_THREADS value that is not a positive integer), 3 simulation failure
 (missing edge state, failed propagator fallback, unwritable output).
 
-Importing this module sets OPENBLAS_NUM_THREADS=1 in the process environment
-when it is unset, before numpy is loaded; ``import nhssh`` sets nothing.
+Importing this module before numpy, as the ``nhssh`` script does, sets
+OPENBLAS_NUM_THREADS=1 in the process environment when it is unset; an import
+after numpy, or ``import nhssh``, sets nothing.
 """
 
 from __future__ import annotations
@@ -18,20 +19,19 @@ from pathlib import Path
 
 # Every scenario runs its BLAS calls on one thread (parallel._one_blas_thread),
 # so a CLI process never uses OpenBLAS's thread pool: load it with one thread.
-# This must run before numpy is imported; a value the caller set still wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# A value the caller set still wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .dynamics import NoEdgeStateError  # noqa: E402
+from .parallel import thread_count  # noqa: E402
 from .scenarios import (  # noqa: E402
     SCENARIOS,
     ConfigError,
     ScenarioConfig,
-    apply_overrides,
     parse_config,
+    parse_overrides,
     run_scenario,
-    validate_config,
 )
-from .spectral import NearDefectiveError  # noqa: E402
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,6 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The config file's config with --scenario, --set and --out applied in one
+    step, each beating the one before, so only the final config must be valid.
+    Raises ConfigError, also for a bad NHSSH_THREADS."""
     if args.config is not None:
         try:
             text = args.config.read_text(encoding="utf-8")
@@ -69,13 +72,18 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
         cfg = parse_config(text)
     else:
         cfg = ScenarioConfig()
+    changes: dict[str, object] = {}
     if getattr(args, "scenario", None) is not None:
-        cfg = replace(cfg, scenario=args.scenario)
-    if getattr(args, "overrides", None):
-        cfg = apply_overrides(cfg, args.overrides)
+        changes["scenario"] = args.scenario
+    changes.update(parse_overrides(getattr(args, "overrides", [])))
     if getattr(args, "out", None) is not None:
-        cfg = replace(cfg, output_dir=str(args.out))
-    validate_config(cfg)
+        changes["output_dir"] = str(args.out)
+    if changes:
+        cfg = replace(cfg, **changes)
+    try:
+        thread_count()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -99,8 +107,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         written = run_scenario(cfg)
-    except (NoEdgeStateError, NearDefectiveError, ZeroDivisionError,
-            ValueError, RuntimeError, OSError) as exc:
+    except (ZeroDivisionError, ValueError, RuntimeError, OSError) as exc:
         print(f"simulation error in scenario {cfg.scenario!r}: {exc}", file=sys.stderr)
         return 3
     for path in written:

@@ -19,18 +19,12 @@ from enum import Enum
 import numpy as np
 
 from .lattice import LatticeConfig, build_hamiltonian
-from .spectral import (
-    DEFAULT_CONDITION_CEILING,
-    Eigensystem,
-    NearDefectiveError,
-    _sorted_eig,
-    eigendecompose,
-    zero_mode_report,
-)
+from .spectral import Eigensystem, _sorted_eig, eigendecompose, zero_mode_report
 
 __all__ = [
     "Edge",
     "NoEdgeStateError",
+    "NearDefectiveError",
     "Trajectory",
     "QuenchSpec",
     "edge_states",
@@ -39,10 +33,14 @@ __all__ = [
     "evolve_propagator",
     "evolve_chebyshev",
     "run_quench",
+    "CONDITION_CEILING",
     "DEFAULT_ZERO_MODE_TOL",
     "DEFAULT_STEP_TOL",
 ]
 
+# Largest 1-norm condition of a right-eigenvector matrix that the spectral
+# route evolves in; past it (or at NaN or inf) the propagator takes over.
+CONDITION_CEILING = 1e10
 DEFAULT_ZERO_MODE_TOL = 1e-3
 DEFAULT_STEP_TOL = 1e-12
 
@@ -62,6 +60,10 @@ class Edge(Enum):
 
 class NoEdgeStateError(RuntimeError):
     """No near-zero modes to build an edge state from (e.g. v/w > 1)."""
+
+
+class NearDefectiveError(RuntimeError):
+    """Eigenvector matrix too ill-conditioned for the biorthogonal route."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +162,7 @@ def evolve_spectral(
     psi(t) = sum_n <phi_n|psi0> exp(-i E_n t) |psi_n>; the expansion
     coefficients are computed once and reused for every requested time.
     """
-    if es.near_defective:
+    if not es.condition <= CONDITION_CEILING:
         raise NearDefectiveError(
             f"right-vector condition {es.condition:.3e} exceeds the ceiling; "
             "use evolve_propagator"
@@ -469,16 +471,18 @@ def run_quench(
     """Prepare the edge states of the initial Hamiltonian and evolve the
     requested sides under the final one, each Hamiltonian decomposed once.
 
-    The spectral route is preferred; when the final eigenbasis is flagged as
-    near-defective the step-propagator route takes over. Raises RuntimeError
-    when a side's state stops being finite (a growing mode overflowed).
+    The spectral route is preferred; when the 1-norm condition of the final
+    eigenbasis exceeds ``CONDITION_CEILING`` (or is not finite) the
+    step-propagator route takes over. Raises RuntimeError when a side's state
+    stops being finite (a growing mode overflowed).
     """
     psi0 = edge_states(build_hamiltonian(spec.initial_config), zero_mode_tol)
     h_final = build_hamiltonian(spec.final_config)
-    es = eigendecompose(h_final, DEFAULT_CONDITION_CEILING, True)  # pt_real
+    es = eigendecompose(h_final, pt_real=True)
+    use_propagator = not es.condition <= CONDITION_CEILING
     trajectories = {}
     for side in spec.sides:
-        if es.near_defective:
+        if use_propagator:
             traj = evolve_propagator(h_final, psi0[side], spec.times)
         else:
             traj = evolve_spectral(es, psi0[side], spec.times)

@@ -41,6 +41,7 @@ __all__ = [
     "ScenarioConfig",
     "SCENARIOS",
     "parse_config",
+    "parse_overrides",
     "apply_overrides",
     "scenario_lattice",
     "scenario_v_grid",
@@ -67,7 +68,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete scenario description; every field has a runnable default."""
+    """Complete scenario description; every field has a runnable default.
+
+    A config that cannot run cannot be made: construction, ``replace``
+    included, raises ConfigError naming the offending key.
+    """
 
     scenario: str = "spectrum"
     n_cells: int = 110
@@ -91,6 +96,44 @@ class ScenarioConfig:
     zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL
     threshold: float = DEFAULT_SIDE_THRESHOLD
     output_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        if self.scenario not in SCENARIOS:
+            raise ConfigError(
+                f"scenario must be one of {', '.join(SCENARIOS)}, got {self.scenario!r}"
+            )
+        if self.side not in ("left", "right", "both"):
+            raise ConfigError(f"side must be left, right, or both, got {self.side!r}")
+        for key, kind in _KEY_TYPES.items():
+            value = getattr(self, key)
+            if kind.startswith("float") and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+        for key, value in (("v_initial", self.v_initial), ("v_final", self.v_final)):
+            if value < 0:
+                raise ConfigError(f"{key} must be >= 0, got {value}")
+        for key, value in (
+            ("dt", self.dt),
+            ("t_max", self.t_max),
+            ("zero_mode_tol", self.zero_mode_tol),
+            ("threshold", self.threshold),
+        ):
+            if value <= 0:
+                raise ConfigError(f"{key} must be > 0, got {value}")
+        if self.t_sample < 0:
+            raise ConfigError(f"t_sample must be >= 0, got {self.t_sample}")
+        start, stop, step = _resolved_grid(self)
+        if start < 0:
+            raise ConfigError(f"v_grid_start must be >= 0, got {start}")
+        if step <= 0:
+            raise ConfigError(f"v_grid_step must be > 0, got {step}")
+        if stop < start:
+            raise ConfigError(
+                f"v_grid_stop must be >= v_grid_start, got {start}..{stop}"
+            )
+        try:
+            scenario_lattice(self, self.v_initial)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 # Each key's annotation as written ("int", "float | None", "str", ...): the
@@ -121,7 +164,7 @@ def _parse_assignment(line: str, where: str) -> tuple[str, object]:
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse ``key = value`` lines (with ``#`` comments) into a validated config."""
+    """Parse ``key = value`` lines (with ``#`` comments) into a config."""
     overrides: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -129,61 +172,17 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
         key, value = _parse_assignment(stripped, f"line {lineno}")
         overrides[key] = value
-    cfg = ScenarioConfig(**overrides)
-    validate_config(cfg)
-    return cfg
+    return ScenarioConfig(**overrides)
+
+
+def parse_overrides(assignments: list[str]) -> dict[str, object]:
+    """Typed values of ``key=value`` strings (CLI --set arguments), last wins."""
+    return dict(_parse_assignment(raw, f"--set {raw!r}") for raw in assignments)
 
 
 def apply_overrides(cfg: ScenarioConfig, assignments: list[str]) -> ScenarioConfig:
     """Apply ``key=value`` strings (CLI --set arguments) on top of a config."""
-    overrides: dict[str, object] = {}
-    for raw in assignments:
-        key, value = _parse_assignment(raw, f"--set {raw!r}")
-        overrides[key] = value
-    cfg = replace(cfg, **overrides)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ScenarioConfig) -> None:
-    """Reject configs that cannot run; error messages name the offending key."""
-    if cfg.scenario not in SCENARIOS:
-        raise ConfigError(
-            f"scenario must be one of {', '.join(SCENARIOS)}, got {cfg.scenario!r}"
-        )
-    if cfg.side not in ("left", "right", "both"):
-        raise ConfigError(f"side must be left, right, or both, got {cfg.side!r}")
-    for key, kind in _KEY_TYPES.items():
-        value = getattr(cfg, key)
-        if kind.startswith("float") and value is not None and not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
-    for key, value in (("v_initial", cfg.v_initial), ("v_final", cfg.v_final)):
-        if value < 0:
-            raise ConfigError(f"{key} must be >= 0, got {value}")
-    for key, value in (
-        ("dt", cfg.dt),
-        ("t_max", cfg.t_max),
-        ("zero_mode_tol", cfg.zero_mode_tol),
-        ("threshold", cfg.threshold),
-    ):
-        if value <= 0:
-            raise ConfigError(f"{key} must be > 0, got {value}")
-    if cfg.t_sample < 0:
-        raise ConfigError(f"t_sample must be >= 0, got {cfg.t_sample}")
-    start, stop, step = _resolved_grid(cfg)
-    if start < 0:
-        raise ConfigError(f"v_grid_start must be >= 0, got {start}")
-    if step <= 0:
-        raise ConfigError(f"v_grid_step must be > 0, got {step}")
-    if stop < start:
-        raise ConfigError(
-            f"v_grid_stop must be >= v_grid_start, got {start}..{stop}"
-        )
-    try:
-        scenario_lattice(cfg, cfg.v_initial)
-        thread_count()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return replace(cfg, **parse_overrides(assignments))
 
 
 def scenario_lattice(cfg: ScenarioConfig, v_over_w: float) -> LatticeConfig:
@@ -458,7 +457,6 @@ def run_scenario(cfg: ScenarioConfig) -> list[Path]:
     caller's count is restored after, so the bytes depend neither on the core
     count nor on ``OPENBLAS_NUM_THREADS``.
     """
-    validate_config(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _one_blas_thread():

@@ -19,7 +19,6 @@ from .observables import (
 from .parallel import thread_map
 
 __all__ = [
-    "NearDefectiveError",
     "Eigensystem",
     "eigendecompose",
     "Sweep",
@@ -30,19 +29,13 @@ __all__ = [
     "match_branches",
     "ZeroModeReport",
     "zero_mode_report",
-    "DEFAULT_CONDITION_CEILING",
     "DEFAULT_EP_TOL",
 ]
 
-DEFAULT_CONDITION_CEILING = 1e10
 # At a few-hundred-site scale the post-merge imaginary parts decay smoothly
 # through 1e-4..1e-6 over a wide v/w range; 1e-3 separates the collapse of the
 # visible imaginary trail from those finite-size tails.
 DEFAULT_EP_TOL = 1e-3
-
-
-class NearDefectiveError(RuntimeError):
-    """Eigenvector matrix too ill-conditioned for the biorthogonal route."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +48,10 @@ class Eigensystem:
     <phi_m|psi_n> = delta_mn and sum_n |psi_n><phi_n| = I hold by construction.
     Conditioning of that inverse is reported instead of being hidden:
     ``condition`` is the 1-norm condition number ||R||_1 ||R^-1||_1 of the
-    right-vector matrix R, and ``completeness_residual`` is the Frobenius norm
-    of R R^-1 - I, an upper bound on its 2-norm.
+    right-vector matrix R (inf when R is exactly singular), and
+    ``completeness_residual`` is the Frobenius norm of R R^-1 - I, an upper
+    bound on its 2-norm. Whether the basis is good enough to evolve in is
+    ``dynamics``'s decision, not recorded here.
     """
 
     eigenvalues: np.ndarray
@@ -64,7 +59,6 @@ class Eigensystem:
     left_vectors: np.ndarray
     completeness_residual: float
     condition: float
-    near_defective: bool
 
     @property
     def dim(self) -> int:
@@ -101,17 +95,10 @@ def _sorted_eig(h: np.ndarray, pt_real: bool = False) -> tuple[np.ndarray, np.nd
     return eigenvalues[order], right[:, order]
 
 
-def eigendecompose(
-    h: np.ndarray,
-    condition_ceiling: float = DEFAULT_CONDITION_CEILING,
-    pt_real: bool = False,
-) -> Eigensystem:
-    """Full dense eigendecomposition, sorted ascending by (Re E, Im E).
-
-    The ``near_defective`` flag is set when the right-vector matrix 1-norm
-    condition number exceeds ``condition_ceiling``; callers evolving states
-    must then fall back to the step-propagator route. ``pt_real`` takes the
-    exact real form of a PT-symmetric h (see ``_sorted_eig``).
+def eigendecompose(h: np.ndarray, *, pt_real: bool = False) -> Eigensystem:
+    """Full dense eigendecomposition, sorted ascending by (Re E, Im E), with
+    the conditioning of its left basis. ``pt_real`` takes the exact real form
+    of a PT-symmetric h (see ``_sorted_eig``).
     """
     eigenvalues, right = _sorted_eig(h, pt_real)
     try:
@@ -131,7 +118,6 @@ def eigendecompose(
         left_vectors=left,
         completeness_residual=completeness,
         condition=condition,
-        near_defective=not condition <= condition_ceiling,
     )
 
 

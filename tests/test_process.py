@@ -67,6 +67,14 @@ def test_import_loads_no_thread_pool_and_leaves_the_environment(module, numpy):
     assert loaded == {"numpy": numpy, "concurrent.futures": False, "environ_unchanged": True}
 
 
+def test_cli_import_after_numpy_leaves_the_environment():
+    """Once numpy has loaded OpenBLAS, a default would reach only children."""
+    probe = IMPORT_PROBE.format(module="nhssh.cli").replace(
+        "import json, os, sys", "import json, os, sys\nimport numpy")
+    loaded = json.loads(python(["-c", probe]))
+    assert loaded["numpy"] and loaded["environ_unchanged"]
+
+
 def test_package_serves_exactly_the_public_names():
     assert sorted(nhssh.__all__) == sorted(PUBLIC)
     assert nhssh.__version__ == "0.1.0"

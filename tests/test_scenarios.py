@@ -123,6 +123,13 @@ def test_field_validation(line, key):
         parse_config(line + "\n")
 
 
+def test_config_is_valid_by_construction():
+    with pytest.raises(ConfigError, match="dt"):
+        ScenarioConfig(dt=0)
+    with pytest.raises(ConfigError, match="side"):
+        replace(ScenarioConfig(), side="up")
+
+
 def test_apply_overrides_matches_file_parsing():
     cfg = apply_overrides(ScenarioConfig(), ["u_im=0.25", "side=left"])
     assert cfg.u_im == 0.25 and cfg.side == "left"
@@ -612,18 +619,16 @@ def test_cli_linalg_error_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_propagator_halving_failure_exit_code(tmp_path, capsys, monkeypatch):
-    # Every eigenbasis is flagged near-defective, so the propagator route runs,
-    # and no truncated series ever meets its tail bound.
-    real_eigendecompose = dynamics.eigendecompose
-    monkeypatch.setattr(dynamics, "eigendecompose", lambda *args: replace(
-        real_eigendecompose(*args), near_defective=True))
+    # Every eigenbasis is past the condition ceiling, so the propagator route
+    # runs, and no truncated series ever meets its tail bound.
+    monkeypatch.setattr(dynamics, "CONDITION_CEILING", 0.0)
     monkeypatch.setattr(dynamics, "_taylor_exp", lambda b, tol: None)
     assert cli_main(tiny_args("lightcone", tmp_path)) == 3
     err = capsys.readouterr().err
     assert "lightcone" in err and "halving failed to converge" in err
 
 
-def test_cli_t_sample_beyond_the_taylor_step_count_exit_code(tmp_path, capsys):
+def test_cli_t_sample_beyond_the_chebyshev_step_count_exit_code(tmp_path, capsys):
     args = tiny_args("ratio-sweep", tmp_path) + ["--set", "t_sample=1e300"]
     assert cli_main(args) == 3
     err = capsys.readouterr().err
@@ -680,3 +685,28 @@ def test_cli_config_file_plus_overrides(tmp_path):
     assert code == 0
     lines = read_lines(out / "bipartite.csv")
     assert len(lines) == 1 + 21  # one side only
+
+
+def test_cli_scenario_and_overrides_are_checked_only_together(tmp_path, capsys):
+    # The file's grid stop is valid for its own scenario (spectrum, start 0.1)
+    # and below ratio-sweep's default start (1.0): only --set makes it valid.
+    config = tmp_path / "case.cfg"
+    config.write_text("v_grid_stop = 0.5\n")
+    args = ["run", "--scenario", "ratio-sweep", "--config", str(config),
+            "--out", str(tmp_path)]
+    for item in [f"{k}={v}" for k, v in TINY.items()] + ["v_grid_start=0.2",
+                                                         "v_grid_step=0.25"]:
+        args += ["--set", item]
+    assert cli_main(args) == 0, capsys.readouterr().err
+    assert read_lines(tmp_path / "ratio_sweep.csv")[1].startswith("0.2,")
+    assert read_lines(tmp_path / "ratio_sweep.csv")[-1].startswith("0.45,")
+
+
+def test_cli_set_beats_scenario_and_out_beats_set(tmp_path):
+    args = tiny_args("spectrum", tmp_path) + ["--set", "scenario=reshuffle"]
+    assert cli_main(args) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["reshuffle.csv"]
+    out = tmp_path / "out"
+    args = tiny_args("reshuffle", out) + ["--set", f"output_dir={tmp_path / 'set'}"]
+    assert cli_main(args) == 0
+    assert (out / "reshuffle.csv").exists() and not (tmp_path / "set").exists()

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from nhssh.dynamics import NearDefectiveError
 from nhssh.lattice import LatticeConfig, build_hamiltonian, is_pt_matrix
 from nhssh.spectral import (
     EpKind,
-    NearDefectiveError,
     Sweep,
     _greedy_match,
     _sorted_eig,
@@ -86,11 +86,13 @@ def test_pure_imaginary_potential_negation_closure():
         assert np.min(np.abs(es.eigenvalues + e)) < 1e-8
 
 
-def test_near_defective_flag_and_rejection():
+def test_near_defective_flag_and_rejection(monkeypatch):
+    from nhssh import dynamics
     from nhssh.dynamics import evolve_spectral
 
-    es = eigendecompose(build_hamiltonian(dimer_config(1.0)), condition_ceiling=1.0)
-    assert es.near_defective
+    monkeypatch.setattr(dynamics, "CONDITION_CEILING", 1.0)
+    es = eigendecompose(build_hamiltonian(dimer_config(1.0)))
+    assert not es.condition <= dynamics.CONDITION_CEILING
     with pytest.raises(NearDefectiveError):
         evolve_spectral(es, np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0]))
 
