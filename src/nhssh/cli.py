@@ -1,8 +1,9 @@
 """Command line interface: run named scenarios and validate config files.
 
-Exit codes: 0 success, 2 config problem (parse or validation, including an
-NHSSH_THREADS value that is not a positive integer), 3 simulation failure
-(missing edge state, failed propagator fallback, unwritable output).
+Exit codes: 0 success, 2 config problem (a config file that cannot be read
+as UTF-8, parse or validation, including an NHSSH_THREADS value that is not a
+positive integer), 3 simulation failure (missing edge state, a propagator
+step whose series misses its tail bound, unwritable output).
 
 Importing this module before numpy, as the ``nhssh`` script does, sets
 OPENBLAS_NUM_THREADS=1 in the process environment when it is unset; an import
@@ -67,7 +68,7 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.config is not None:
         try:
             text = args.config.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         cfg = parse_config(text)
     else:

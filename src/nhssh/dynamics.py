@@ -2,13 +2,13 @@
 
 Two independent routes compute the same trajectories: expansion in the
 biorthogonal eigenbasis (one decomposition, then phases), and repeated
-application of an exact step propagator built from a norm-controlled,
-scaled-and-squared truncated power series. The second serves as the oracle
-for the first and takes over near exceptional points, where the eigenbasis
-is too ill-conditioned to invert; ``run_quench`` is the one place that
-chooses between them. A third route, a Chebyshev expansion on the bands of
-a batch of tridiagonal Hamiltonians, evolves a whole sweep grid to one time
-without any eigendecomposition.
+application of an exact step propagator, a scaled-and-squared truncated
+power series that raises where it misses its tail bound. The second serves
+as the oracle for the first and takes over near exceptional points, where
+the eigenbasis is too ill-conditioned to invert; ``run_quench`` is the one
+place that chooses between them. A third route, a Chebyshev expansion on
+the bands of a batch of tridiagonal Hamiltonians, evolves a whole sweep grid
+to one time without any eigendecomposition.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ DEFAULT_STEP_TOL = 1e-12
 
 _TAYLOR_MAX_TERMS = 48
 _SCALE_TARGET = 0.5
-_MAX_HALVINGS = 32
 # a tau per step of evolve_chebyshev, which bounds its table of J_k(a tau),
 # and the magnitude at which _bessel_j rescales its recurrence.
 _CHEBYSHEV_MAX_ARGUMENT = 1000.0
@@ -95,14 +94,22 @@ class QuenchSpec:
         if not sides or len(set(sides)) != len(sides) or not set(sides) <= set(Edge):
             raise ValueError(f"sides must be distinct Edge members, got {self.sides!r}")
         object.__setattr__(self, "sides", sides)
-        times = np.asarray(self.times, dtype=float)
-        if times.size == 0:
-            raise ValueError("times must be nonempty")
-        if times[0] < 0:
-            raise ValueError("times must start at t >= 0")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "times", _checked_times(self.times))
+
+
+def _checked_times(times: np.ndarray) -> np.ndarray:
+    """times as floats, if they are a sample grid: nonempty, finite, starting
+    at t >= 0 and strictly increasing; ValueError otherwise."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("times must be nonempty")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if times[0] < 0:
+        raise ValueError("times must start at t >= 0")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    return times
 
 
 def edge_states(
@@ -183,41 +190,32 @@ def evolve_spectral(
     return Trajectory(times=times, states=states)
 
 
-def _taylor_exp(b: np.ndarray, tol: float) -> np.ndarray | None:
-    """Truncated power series for exp(b), or None if the tail bound fails."""
-    dim = b.shape[0]
-    norm_b = np.linalg.norm(b, 1)
-    result = np.eye(dim, dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    for k in range(1, _TAYLOR_MAX_TERMS + 1):
-        term = term @ b / k
-        result += term
-        ratio = norm_b / (k + 1)
-        if ratio < 1.0:
-            # Geometric bound on the dropped tail.
-            tail = np.linalg.norm(term, 1) * ratio / (1.0 - ratio)
-            if tail <= tol:
-                return result
-    return None
-
-
-def _step_propagator(
-    h: np.ndarray, dt: float, tol: float, depth: int = 0
-) -> np.ndarray:
-    """exp(-i h dt) by argument scaling, truncated series, repeated squaring."""
-    if depth > _MAX_HALVINGS:
-        raise RuntimeError("propagator step halving failed to converge")
+def _step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt): a power series of -i h dt / 2^s, whose 1-norm is at most
+    _SCALE_TARGET, squared s times (Moler & Van Loan, SIAM Rev. 45, 3, 2003).
+    The series stops when a geometric bound on its tail meets
+    DEFAULT_STEP_TOL / (4 2^s), the budget for the squarings; RuntimeError if
+    _TAYLOR_MAX_TERMS terms miss it, which takes s >= 216.
+    """
     a = -1j * dt * h
     norm_a = np.linalg.norm(a, 1)
     squarings = 0
     if norm_a > _SCALE_TARGET:
-        squarings = int(np.ceil(np.log2(norm_a / _SCALE_TARGET)))
-    # Budget for error growth under the squarings that follow.
-    local_tol = tol / (4.0 * 2.0**squarings)
-    p = _taylor_exp(a / 2.0**squarings, local_tol)
-    if p is None:
-        half = _step_propagator(h, dt / 2.0, tol, depth + 1)
-        return half @ half
+        # Capped where 2.0**s overflows; a step that long misses the bound.
+        squarings = int(min(np.ceil(np.log2(norm_a / _SCALE_TARGET)), 1023.0))
+    b = a / 2.0**squarings
+    tol = DEFAULT_STEP_TOL / (4.0 * 2.0**squarings)
+    norm_b = np.linalg.norm(b, 1)
+    p = np.eye(h.shape[0], dtype=complex)
+    term = np.eye(h.shape[0], dtype=complex)
+    for k in range(1, _TAYLOR_MAX_TERMS + 1):
+        term = term @ b / k
+        p += term
+        ratio = norm_b / (k + 1)
+        if ratio < 1.0 and np.linalg.norm(term, 1) * ratio / (1.0 - ratio) <= tol:
+            break
+    else:
+        raise RuntimeError(f"propagator step dt={dt:g}: series misses its tail bound")
     for _ in range(squarings):
         p = p @ p
     return p
@@ -228,7 +226,7 @@ def evolve_propagator(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Tra
 
     psi0 is the state at t = 0; the first sample follows after advancing by
     times[0]. Propagators are cached per distinct step size, so uniform grids
-    cost a single matrix exponential.
+    cost a single matrix exponential. Times are checked as QuenchSpec does.
     """
     h = np.asarray(h, dtype=complex)
     if not np.all(np.isfinite(h.view(float))):
@@ -236,11 +234,7 @@ def evolve_propagator(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Tra
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (h.shape[0],):
         raise ValueError(f"psi0 has shape {psi.shape}, expected ({h.shape[0]},)")
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ValueError("times must be nonempty")
-    if times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be nonnegative and strictly increasing")
+    times = _checked_times(times)
 
     cache: dict[float, np.ndarray] = {}
     states = np.empty((times.size, psi.shape[0]), dtype=complex)
@@ -250,7 +244,7 @@ def evolve_propagator(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Tra
         if dt > 0.0:
             prop = cache.get(dt)
             if prop is None:
-                prop = _step_propagator(h, dt, DEFAULT_STEP_TOL)
+                prop = _step_propagator(h, dt)
                 cache[dt] = prop
             psi = prop @ psi
         states[k] = psi

@@ -41,10 +41,8 @@ class BipartiteSplit:
 
 
 def default_split(config: LatticeConfig) -> BipartiteSplit:
-    """Split at the center of the on-site block, or the chain midpoint without one."""
-    if config.has_region:
-        return BipartiteSplit((config.region_start + config.region_end) // 2)
-    return BipartiteSplit(config.n_cells)
+    """Split at the reference center, rounded down to a site."""
+    return BipartiteSplit(int(reference_center(config)))
 
 
 def reference_center(config: LatticeConfig) -> float:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,9 +235,31 @@ def test_quench_spec_validation():
         QuenchSpec(config, config.with_v(1.0), (Edge.LEFT,), np.array([-1.0, 0.5]))
     with pytest.raises(ValueError):
         QuenchSpec(config, config.with_v(1.0), (Edge.LEFT,), np.array([]))
+    for times in ([0.0, np.inf], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            QuenchSpec(config, config.with_v(1.0), (Edge.LEFT,), np.array(times))
     for sides in ((), (Edge.LEFT, Edge.LEFT), ("left",)):
         with pytest.raises(ValueError):
             QuenchSpec(config, config.with_v(1.0), sides, np.array([0.0, 1.0]))
+
+
+def test_propagator_rejects_non_finite_times():
+    h = build_hamiltonian(small_pt_config(1.1))
+    psi0 = initial_edge_state(build_hamiltonian(small_pt_config(0.25)), Edge.LEFT)
+    for times in ([0.0, np.inf], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            evolve_propagator(h, psi0, np.array(times))
+
+
+# 1e300 needs about a thousand squarings; at 1e308 the norm of -i h dt
+# overflows, with a warning.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_propagator_step_beyond_its_series_raises():
+    h = build_hamiltonian(small_pt_config(1.1))
+    psi0 = initial_edge_state(build_hamiltonian(small_pt_config(0.25)), Edge.LEFT)
+    for t in (1e300, 1e308):
+        with pytest.raises(RuntimeError, match=re.escape(f"dt={t:g}: series misses")):
+            evolve_propagator(h, psi0, np.array([t]))
 
 
 def test_trajectory_densities_match_states():
@@ -319,7 +343,7 @@ def test_taylor_route_follows_propagator_past_a_growing_mode(flagship_edge_block
     assert relative_error(chebyshev, propagated) <= 1e-10
 
 
-def test_taylor_route_t_zero_and_members_apart():
+def test_chebyshev_route_t_zero_and_members_apart():
     configs = [small_pt_config(v) for v in (0.5, 1.3, 2.0)]
     psi0 = edge_states(build_hamiltonian(small_pt_config(0.25)))
     block = np.stack([psi0[Edge.LEFT], psi0[Edge.RIGHT]])
@@ -333,7 +357,7 @@ def test_taylor_route_t_zero_and_members_apart():
         assert relative_error(member, spectral_at(es, block, 15.0)) <= 1e-10
 
 
-def test_taylor_route_single_site_gain_and_loss():
+def test_chebyshev_route_single_site_gain_and_loss():
     rates = np.array([0.3, -0.1, 0.0])  # loss, gain, neither
     states = evolve_chebyshev((-1j * rates)[:, None], np.zeros((3, 0)),
                            np.ones((3, 1, 1), dtype=complex), 5.0)
@@ -348,7 +372,7 @@ def test_chebyshev_route_uncoupled_gain_and_loss_sites():
     np.testing.assert_allclose(states[0, 0], np.exp(-1j * diagonal[0] * 5.0), rtol=1e-13)
 
 
-def test_taylor_route_rejects_malformed_input():
+def test_chebyshev_route_rejects_malformed_input():
     diagonal, off_diagonal = np.zeros((2, 4), dtype=complex), np.ones((2, 3))
     states = np.ones((2, 1, 4), dtype=complex)
     for args in [(diagonal, off_diagonal[:, :2], states, 1.0),

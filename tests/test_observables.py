@@ -86,6 +86,9 @@ def test_default_split_and_reference_center():
     config = flagship_config(0.25)
     assert default_split(config).split_site == 110
     assert reference_center(config) == 110.5
+    odd_sum = flagship_config(0.25, region=(108, 111))
+    assert default_split(odd_sum).split_site == 109
+    assert reference_center(odd_sum) == 109.5
     pure = LatticeConfig(n_cells=3, v=0.5)
     assert default_split(pure).split_site == 3
     assert reference_center(pure) == 3.5

@@ -598,6 +598,20 @@ def test_cli_unreadable_config_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_config_file_not_utf8_exit_code(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"\xff\xfe scenario = spectrum\n")
+    out = tmp_path / "out"
+    for args in (["validate", "--config", str(config)],
+                 ["run", "--scenario", "bipartite", "--config", str(config),
+                  "--out", str(out)]):
+        assert cli_main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config file:"), err
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_simulation_error_exit_code(tmp_path, capsys):
     # v_initial beyond the transition: no edge state to quench from.
     code = cli_main(["run", "--scenario", "lightcone", "--out", str(tmp_path),
@@ -618,14 +632,15 @@ def test_cli_linalg_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "lightcone" in err and "did not converge" in err
 
 
-def test_cli_propagator_halving_failure_exit_code(tmp_path, capsys, monkeypatch):
+def test_cli_propagator_series_failure_exit_code(tmp_path, capsys, monkeypatch):
     # Every eigenbasis is past the condition ceiling, so the propagator route
-    # runs, and no truncated series ever meets its tail bound.
+    # runs, and with no series terms no step meets its tail bound.
     monkeypatch.setattr(dynamics, "CONDITION_CEILING", 0.0)
-    monkeypatch.setattr(dynamics, "_taylor_exp", lambda b, tol: None)
+    monkeypatch.setattr(dynamics, "_TAYLOR_MAX_TERMS", 0)
     assert cli_main(tiny_args("lightcone", tmp_path)) == 3
     err = capsys.readouterr().err
-    assert "lightcone" in err and "halving failed to converge" in err
+    assert "lightcone" in err and "propagator step dt=" in err
+    assert "series misses its tail bound" in err
 
 
 def test_cli_t_sample_beyond_the_chebyshev_step_count_exit_code(tmp_path, capsys):
