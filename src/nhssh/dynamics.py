@@ -5,14 +5,19 @@ biorthogonal eigenbasis (one decomposition, then phases), and repeated
 application of an exact step propagator, a scaled-and-squared truncated
 power series that raises where it misses its tail bound. The second serves
 as the oracle for the first and takes over near exceptional points, where
-the eigenbasis is too ill-conditioned to invert; ``run_quench`` is the one
-place that chooses between them. A third route, a Chebyshev expansion on
-the bands of a batch of tridiagonal Hamiltonians, evolves a whole sweep grid
-to one time without any eigendecomposition.
+the eigenbasis is too ill-conditioned to invert. ``_quench_blocks`` is the
+one place that chooses between them: it decomposes each Hamiltonian once and
+yields every side's states in blocks of ``_TIME_BLOCK`` samples, so the
+scenarios reduce a block before the next exists; ``run_quench`` and
+``evolve_spectral`` assemble those blocks into whole trajectories. A third
+route, a Chebyshev expansion on the bands of a batch of tridiagonal
+Hamiltonians, evolves a whole sweep grid to one time without any
+eigendecomposition.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -43,6 +48,10 @@ __all__ = [
 CONDITION_CEILING = 1e10
 DEFAULT_ZERO_MODE_TOL = 1e-3
 DEFAULT_STEP_TOL = 1e-12
+# Time samples in one block of the spectral route. OpenBLAS's zgemm gives
+# every column the bits of the whole-grid product at 64, 128 and 256 columns
+# (not at 1, 7, 100 or 500), so the block size is not a free choice.
+_TIME_BLOCK = 128
 
 _TAYLOR_MAX_TERMS = 48
 _SCALE_TARGET = 0.5
@@ -169,6 +178,16 @@ def evolve_spectral(
     psi(t) = sum_n <phi_n|psi0> exp(-i E_n t) |psi_n>; the expansion
     coefficients are computed once and reused for every requested time.
     """
+    times = np.asarray(times, dtype=float)
+    states = _stacked(_spectral_blocks(es, psi0, times), (times.size, es.dim))
+    return Trajectory(times=times, states=states)
+
+
+def _spectral_blocks(
+    es: Eigensystem, psi0: np.ndarray, times: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, states) for each block of up to _TIME_BLOCK samples of the
+    spectral route, states as a (time, site) view."""
     if not es.condition <= CONDITION_CEILING:
         raise NearDefectiveError(
             f"right-vector condition {es.condition:.3e} exceeds the ceiling; "
@@ -177,17 +196,32 @@ def evolve_spectral(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (es.dim,):
         raise ValueError(f"psi0 has shape {psi0.shape}, expected ({es.dim},)")
-    times = np.asarray(times, dtype=float)
+    times = np.ravel(times)
     coeff = es.left_vectors.conj().T @ psi0
-    # One (eigenvalue, time) table, transformed in place. The operands keep the
-    # order of -1j * x and coeff * x: a complex product can differ in its last
-    # bit when they are swapped.
-    phases = np.outer(es.eigenvalues, times)
-    np.multiply(-1j, phases, out=phases)
-    np.exp(phases, out=phases)
-    np.multiply(coeff[:, np.newaxis], phases, out=phases)
-    states = (es.right_vectors @ phases).T
-    return Trajectory(times=times, states=states)
+    for start in range(0, times.size, _TIME_BLOCK):
+        rows = slice(start, min(start + _TIME_BLOCK, times.size))
+        # One (eigenvalue, time) table, transformed in place. The operands keep
+        # the order of -1j * x and coeff * x: a complex product can differ in
+        # its last bit when they are swapped.
+        phases = np.outer(es.eigenvalues, times[rows])
+        np.multiply(-1j, phases, out=phases)
+        np.exp(phases, out=phases)
+        np.multiply(coeff[:, np.newaxis], phases, out=phases)
+        # The block's states take the table's place, so it is not held while
+        # the block is read.
+        phases = es.right_vectors @ phases
+        yield rows, phases.T
+
+
+def _stacked(blocks: Iterable[tuple[slice, np.ndarray]], shape: tuple[int, int]) -> np.ndarray:
+    """The (time, site) array of one trajectory's blocks: a lone block as it
+    is, more in a column-major array, the layout of one spectral product."""
+    states = np.empty(shape[::-1], dtype=complex).T
+    for rows, block in blocks:
+        if block.shape == shape:
+            return block
+        states[rows] = block
+    return states
 
 
 def _step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
@@ -465,26 +499,50 @@ def run_quench(
     """Prepare the edge states of the initial Hamiltonian and evolve the
     requested sides under the final one, each Hamiltonian decomposed once.
 
-    The spectral route is preferred; when the 1-norm condition of the final
-    eigenbasis exceeds ``CONDITION_CEILING`` (or is not finite) the
-    step-propagator route takes over. Raises RuntimeError when a side's state
-    stops being finite (a growing mode overflowed).
+    The trajectories are ``_quench_blocks``'s, assembled; RuntimeError when
+    a side's state stops being finite (a growing mode overflowed).
+    """
+    shape = (spec.times.size, spec.final_config.n_sites)
+    return {
+        side: Trajectory(times=spec.times, states=_stacked(blocks, shape))
+        for side, blocks in _quench_blocks(spec, zero_mode_tol)
+    }
+
+
+def _quench_blocks(
+    spec: QuenchSpec, zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL
+) -> Iterator[tuple[Edge, Iterator[tuple[slice, np.ndarray]]]]:
+    """(side, blocks) for each requested side in turn, its blocks yielding the
+    (rows, states) of its trajectory in time order; read them before the next side.
+
+    The edge states and the final eigenbasis are prepared, and the route
+    chosen, once: the spectral route in blocks of _TIME_BLOCK samples, or the
+    step propagator as one block when the 1-norm condition of the final
+    eigenbasis exceeds ``CONDITION_CEILING`` (or is not finite). A block is
+    passed on only once it is finite; RuntimeError names the side and the
+    first time at which it is not (a growing mode overflowed).
     """
     psi0 = edge_states(build_hamiltonian(spec.initial_config), zero_mode_tol)
     h_final = build_hamiltonian(spec.final_config)
     es = eigendecompose(h_final, pt_real=True)
     use_propagator = not es.condition <= CONDITION_CEILING
-    trajectories = {}
     for side in spec.sides:
         if use_propagator:
-            traj = evolve_propagator(h_final, psi0[side], spec.times)
+            states = evolve_propagator(h_final, psi0[side], spec.times).states
+            blocks = [(slice(0, spec.times.size), states)]
         else:
-            traj = evolve_spectral(es, psi0[side], spec.times)
-        finite = np.isfinite(traj.states).all(axis=1)
+            blocks = _spectral_blocks(es, psi0[side], spec.times)
+        yield side, _finite_blocks(blocks, side, spec.times)
+
+
+def _finite_blocks(
+    blocks: Iterable[tuple[slice, np.ndarray]], side: Edge, times: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    for rows, states in blocks:
+        finite = np.isfinite(states).all(axis=1)
         if not finite.all():
-            t = spec.times[np.argmin(finite)]
+            t = times[rows][np.argmin(finite)]
             raise RuntimeError(
                 f"quench evolution of the {side.value} edge state is not finite at t={t:g}"
             )
-        trajectories[side] = traj
-    return trajectories
+        yield rows, states

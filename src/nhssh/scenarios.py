@@ -11,7 +11,7 @@ flagship case (220 sites, block on sites 109-112 with potentials
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -22,10 +22,9 @@ from .dynamics import (
     DEFAULT_ZERO_MODE_TOL,
     Edge,
     QuenchSpec,
-    Trajectory,
+    _quench_blocks,
     edge_states,
     evolve_chebyshev,
-    run_quench,
 )
 from .lattice import LatticeConfig, build_hamiltonian, hamiltonian_bands
 from .observables import (
@@ -264,6 +263,25 @@ def _repeat_each(values: list[str], times: int) -> list[str]:
     return [v for v in values for _ in range(times)]
 
 
+@dataclass(frozen=True)
+class _TiledLabels(Sequence):
+    """A text column of ``rows`` cells, row i holding
+    ``labels[i // repeat % labels.size]``, each slice built when it is read."""
+
+    labels: np.ndarray  # of str objects
+    repeat: int
+    rows: int
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, index):
+        rows = range(self.rows)[index]
+        if isinstance(rows, range):
+            rows = np.arange(rows.start, rows.stop, rows.step)
+        return self.labels[rows // self.repeat % self.labels.size]
+
+
 def _write_sweep(path: Path, sweep: Sweep, branch: np.ndarray | None = None) -> Path:
     """One row per (grid point, eigenvalue); a branch column only with labels."""
     points, n = sweep.eigenvalues.shape
@@ -280,23 +298,39 @@ def _write_sweep(path: Path, sweep: Sweep, branch: np.ndarray | None = None) -> 
     return _write_table(path, columns)
 
 
+def _clamp(densities: np.ndarray) -> float:
+    """``np.percentile(densities, _CLAMP_PERCENTILE)``, bit for bit, for
+    densities without NaN: numpy's linear rule on the two order statistics
+    around the virtual index, found by one partition of a copy."""
+    values = densities.ravel()
+    index = (values.size - 1) * (_CLAMP_PERCENTILE / 100.0)
+    below = math.floor(index)
+    above = min(below + 1, values.size - 1)
+    lo, hi = np.partition(values, (below, above))[[below, above]].tolist()
+    gamma = index - below
+    diff = hi - lo
+    return hi - diff * (1.0 - gamma) if gamma >= 0.5 else lo + diff * gamma
+
+
 def _write_heatmap(
     pgm_path: Path, sidecar_path: Path, times: np.ndarray, densities: np.ndarray
 ) -> list[Path]:
     """Binary 16-bit graymap: rows are sites, columns time samples.
 
-    ``densities`` is the (time, site) table of one trajectory. Intensities are
-    densities clamped to its 99th percentile so gain spikes do not wash out
-    the cone; the clamp is recorded in a sidecar.
+    ``densities`` is the (time, site) table of one trajectory, which this
+    overwrites with the pixel values. Intensities are densities clamped to
+    their 99th percentile (``_clamp``) so gain spikes do not wash out the
+    cone; the clamp is recorded in a sidecar.
     """
-    rho_max = float(np.percentile(densities, _CLAMP_PERCENTILE))
+    rho_max = _clamp(densities)
+    pixels = densities
     if rho_max > 0.0:
-        pixels = densities / rho_max
+        np.divide(pixels, rho_max, out=pixels)
         np.clip(pixels, 0.0, 1.0, out=pixels)
         np.multiply(pixels, _PGM_MAXVAL, out=pixels)
         np.round(pixels, out=pixels)
     else:
-        pixels = np.zeros_like(densities)
+        pixels.fill(0.0)
     width, height = densities.shape
     header = f"P5\n{width} {height}\n{_PGM_MAXVAL}\n".encode("ascii")
     pgm_path.write_bytes(header + pixels.T.astype(">u2").tobytes())
@@ -318,15 +352,18 @@ def _write_heatmap(
 # Scenario runners
 # ---------------------------------------------------------------------------
 
-def _quench(cfg: ScenarioConfig) -> dict[Edge, Trajectory]:
-    """Trajectories of the configured sides on the scenario time grid."""
+def _quench(
+    cfg: ScenarioConfig,
+) -> Iterator[tuple[Edge, Iterator[tuple[slice, np.ndarray]]]]:
+    """Each configured side with the (rows, states) blocks of its trajectory
+    on the scenario time grid (see ``dynamics._quench_blocks``)."""
     spec = QuenchSpec(
         initial_config=scenario_lattice(cfg, cfg.v_initial),
         final_config=scenario_lattice(cfg, cfg.v_final),
         sides=tuple(Edge) if cfg.side == "both" else (Edge(cfg.side),),
         times=time_grid(cfg),
     )
-    return run_quench(spec, zero_mode_tol=cfg.zero_mode_tol)
+    return _quench_blocks(spec, cfg.zero_mode_tol)
 
 
 def _run_sweep(cfg: ScenarioConfig, out: Path, *, labeled: bool) -> list[Path]:
@@ -341,17 +378,26 @@ def _run_sweep(cfg: ScenarioConfig, out: Path, *, labeled: bool) -> list[Path]:
 
 
 def _run_lightcone(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    trajectories = _quench(cfg)
     times = time_grid(cfg)
     n = 2 * cfg.n_cells
-    t_column = _repeat_each([_fmt(t) for t in times.tolist()], n)
-    site_column = [str(site) for site in range(1, n + 1)] * times.size
+    # Every side's densities exist before any file is opened, so a state that
+    # overflows leaves no output.
+    tables: dict[Edge, np.ndarray] = {}
+    for side, blocks in _quench(cfg):
+        tables[side] = densities = np.empty((times.size, n))
+        for rows, states in blocks:
+            densities[rows] = np.abs(states)
+            np.square(densities[rows], out=densities[rows])
+    t_labels = np.array([_fmt(t) for t in times.tolist()], dtype=object)
+    site_labels = np.array([str(site) for site in range(1, n + 1)], dtype=object)
+    columns = {
+        "t": _TiledLabels(t_labels, n, times.size * n),
+        "site": _TiledLabels(site_labels, 1, times.size * n),
+    }
     outputs: list[Path] = []
-    for side in tuple(trajectories):
-        # Each side's states are dropped once its densities exist.
-        densities = trajectories.pop(side).densities
+    for side, densities in tables.items():
         name = f"lightcone_{side.value}"
-        columns = {"t": t_column, "site": site_column, "density": densities.ravel()}
+        columns["density"] = densities.ravel()
         outputs.append(_write_table(out / f"{name}.csv", columns))
         outputs.extend(_write_heatmap(
             out / f"{name}.pgm", out / f"{name}_clamp.txt", times, densities
@@ -361,13 +407,16 @@ def _run_lightcone(cfg: ScenarioConfig, out: Path) -> list[Path]:
 
 def _run_bipartite(cfg: ScenarioConfig, out: Path) -> list[Path]:
     split = default_split(scenario_lattice(cfg, cfg.v_initial))
-    trajectories = _quench(cfg)
-    norms = [bipartite_norms(traj.states, split) for traj in trajectories.values()]
+    times = time_grid(cfg)
+    sides, norms = [], []
+    for side, blocks in _quench(cfg):
+        sides.append(side)
+        norms.extend(bipartite_norms(states, split) for _, states in blocks)
     columns = {
-        "t": np.concatenate([traj.times for traj in trajectories.values()]),
+        "t": np.tile(times, len(sides)),
         "rho_left": np.concatenate([rho_left for rho_left, _ in norms]),
         "rho_right": np.concatenate([rho_right for _, rho_right in norms]),
-        "side_init": [side.value for side, traj in trajectories.items() for _ in traj.times],
+        "side_init": [side.value for side in sides for _ in range(times.size)],
     }
     return [_write_table(out / "bipartite.csv", columns)]
 

@@ -301,7 +301,7 @@ def flagship_edge_block():
 # noise, and the spectral and propagator routes part beyond t = 34.
 @pytest.mark.parametrize("v, t", [(1.0, 120.0), (2.0, 120.0), (0.40, 30.0),
                                   (0.90, 120.0), (1.10, 120.0), (1.65, 120.0)])
-def test_taylor_route_matches_propagator_at_flagship_size(flagship_edge_block, v, t):
+def test_chebyshev_route_matches_propagator_at_flagship_size(flagship_edge_block, v, t):
     config = flagship_config(v)
     h = build_hamiltonian(config)
     propagated = np.array([evolve_propagator(h, psi, [t]).states[0]
@@ -323,7 +323,7 @@ def test_taylor_route_matches_propagator_at_flagship_size(flagship_edge_block, v
     ((109, 112), (0.0, 0.75), (1.0, 1.5, 2.0)),
     ((107, 110), (0.75, 0.75), (1.0, 1.5, 2.0)),
 ], ids=["pt", "stronger", "weaker", "pure-imaginary", "off-center"])
-def test_taylor_route_matches_spectral_route(flagship_edge_block, region, u, grid):
+def test_chebyshev_route_matches_spectral_route(flagship_edge_block, region, u, grid):
     """The four acceptance blocks and the off-center (not PT-symmetric) one."""
     configs = [flagship_config(v, region=region, u=u) for v in grid]
     chebyshev = chebyshev_batch(configs, flagship_edge_block, 120.0)
@@ -333,7 +333,7 @@ def test_taylor_route_matches_spectral_route(flagship_edge_block, region, u, gri
         assert relative_error(states, reference) <= 1e-10
 
 
-def test_taylor_route_follows_propagator_past_a_growing_mode(flagship_edge_block):
+def test_chebyshev_route_follows_propagator_past_a_growing_mode(flagship_edge_block):
     config = flagship_config(1.0, u=(0.75, 1.0))
     h = build_hamiltonian(config)
     propagated = np.array([evolve_propagator(h, psi, [120.0]).states[0]

@@ -102,6 +102,20 @@ def test_cli_process_loads_openblas_on_one_thread_unless_the_caller_says(
     assert int(out.split()[-1]) == expected
 
 
+def test_lightcone_run_leaves_numpy_ma_unimported(tmp_path):
+    """The heatmap clamp needs no np.percentile, which loads numpy.ma."""
+    probe = (
+        "import sys\n"
+        "from nhssh.cli import main\n"
+        "sets = ['n_cells=10', 'region_start=9', 'region_end=12', 't_max=10']\n"
+        "code = main(['run', '--scenario', 'lightcone', '--out', sys.argv[1],\n"
+        "             *(arg for item in sets for arg in ('--set', item))])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    assert python(["-c", probe, str(tmp_path)]).split()[-2:] == ["0", "False"]
+    assert (tmp_path / "lightcone_right_clamp.txt").is_file()
+
+
 def test_threaded_cli_sweep_writes_the_serial_bytes(tmp_path):
     """The 220-site reshuffle sweep (two grid points) through `python -m
     nhssh.cli`: workers call an OpenBLAS loaded with one thread."""

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nhssh import dynamics, scenarios
 from nhssh.cli import main as cli_main
 from nhssh.dynamics import Edge, edge_states
 from nhssh.lattice import build_hamiltonian
 from nhssh.observables import bipartite_norms, default_split
+from nhssh.spectral import eigendecompose
 from nhssh.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -207,15 +209,49 @@ def test_lightcone_heatmap_structure(tmp_path):
 def test_flagship_heatmap_pixels_are_bitwise_the_out_of_place_expression(tmp_path):
     cfg = ScenarioConfig(scenario="lightcone", output_dir=str(tmp_path))
     times = time_grid(cfg)
-    for side, traj in scenarios._quench(cfg).items():
-        densities = traj.densities
+    for side, blocks in scenarios._quench(cfg):
+        densities = np.concatenate([np.abs(states) ** 2 for _, states in blocks])
         pgm = tmp_path / f"{side.value}.pgm"
-        scenarios._write_heatmap(pgm, tmp_path / f"{side.value}.txt", times, densities)
+        # _write_heatmap turns the table it is given into pixels.
+        scenarios._write_heatmap(pgm, tmp_path / f"{side.value}.txt", times, densities.copy())
         image = densities.T
         rho_max = float(np.percentile(densities, 99.0))
         pixels = np.round(np.clip(image / rho_max, 0.0, 1.0) * 65535)
         header = f"P5\n{times.size} {densities.shape[1]}\n65535\n".encode("ascii")
         assert pgm.read_bytes() == header + pixels.astype(">u2").tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@example(values=np.array([0.25]))
+@example(values=np.array([1.0, 0.0]))
+@example(values=np.zeros(5000))
+@example(values=np.linspace(0.0, 1.0, 101))
+# Here the 99th percentile lerps down from the upper neighbour: from the lower
+# one it would differ in the last bit.
+@example(values=np.array([0.809, 0.501, 0.573, 0.574, 0.395, 0.63]))
+@given(values=arrays(np.float64, st.integers(1, 5000),
+                     elements=st.floats(allow_nan=False, allow_infinity=False)
+                     | st.sampled_from([0.0, 0.5, 1.0])))
+def test_clamp_is_numpys_99th_percentile_bit_for_bit(values):
+    before = values.copy()
+    clamp = scenarios._clamp(values)
+    assert np.array_equal(values, before)
+    assert np.float64(clamp).tobytes() == np.float64(np.percentile(values, 99.0)).tobytes()
+
+
+# One flagship trajectory, 1001 samples x 220 sites of complex amplitudes, is
+# 3.36 MB; these bounds stay below what whole trajectories would take.
+@pytest.mark.parametrize("scenario, bound_mb", [("bipartite", 6.7), ("lightcone", 10.0)])
+def test_flagship_quench_scenarios_hold_no_whole_trajectories(scenario, bound_mb, tmp_path):
+    # A short run first, so that first-call allocations are not measured.
+    run_scenario(ScenarioConfig(scenario=scenario, t_max=1.0, output_dir=str(tmp_path / "warm")))
+    tracemalloc.start()
+    try:
+        run_scenario(ScenarioConfig(scenario=scenario, output_dir=str(tmp_path)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20
 
 
 def test_write_table_streams_the_bytes_of_one_joined_text(tmp_path):
@@ -663,6 +699,35 @@ def test_cli_overflowing_quench_exit_code(tmp_path, capsys, scenario):
     err = capsys.readouterr().err
     assert scenario in err and "edge state is not finite at t=" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+# The same mode overflows at sample 232 (t = 2320) of a dt = 10 grid: in the
+# second block of the spectral route.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scenario", ["lightcone", "bipartite"])
+def test_cli_quench_overflowing_after_the_first_block_exit_code(tmp_path, capsys, scenario):
+    overrides = {"n_cells": 30, "region_start": 29, "region_end": 32, "v_final": 0.5,
+                 "t_max": 5000.0, "dt": 10.0}
+    cfg = ScenarioConfig(scenario=scenario, **overrides)
+    times = time_grid(cfg)
+    # The left edge state goes first; its first non-finite sample, from the
+    # whole-grid spectral expression.
+    es = eigendecompose(build_hamiltonian(scenario_lattice(cfg, cfg.v_final)), pt_real=True)
+    psi0 = edge_states(build_hamiltonian(scenario_lattice(cfg, cfg.v_initial)))[Edge.LEFT]
+    coeff = es.left_vectors.conj().T @ psi0
+    phases = np.exp(-1j * np.outer(es.eigenvalues, times))
+    finite = np.isfinite(es.right_vectors @ (coeff[:, np.newaxis] * phases)).all(axis=0)
+    first = int(np.argmin(finite))
+    assert not finite[first] and first >= dynamics._TIME_BLOCK
+
+    args = ["run", "--scenario", scenario, "--out", str(tmp_path)]
+    for key, value in overrides.items():
+        args += ["--set", f"{key}={value}"]
+    assert cli_main(args) == 3
+    err = capsys.readouterr().err
+    assert scenario in err
+    assert f"left edge state is not finite at t={times[first]:g}" in err
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.pgm"))
 
 
 # Block modes with Im E up to 0.064 grow |psi|^2 past the float range by t = 10000.
