@@ -323,7 +323,7 @@ def test_chebyshev_route_matches_propagator_at_flagship_size(flagship_edge_block
     ((109, 112), (0.0, 0.75), (1.0, 1.5, 2.0)),
     ((107, 110), (0.75, 0.75), (1.0, 1.5, 2.0)),
 ], ids=["pt", "stronger", "weaker", "pure-imaginary", "off-center"])
-def test_chebyshev_route_matches_spectral_route(flagship_edge_block, region, u, grid):
+def test_taylor_route_matches_spectral_route(flagship_edge_block, region, u, grid):
     """The four acceptance blocks and the off-center (not PT-symmetric) one."""
     configs = [flagship_config(v, region=region, u=u) for v in grid]
     chebyshev = chebyshev_batch(configs, flagship_edge_block, 120.0)
