@@ -16,7 +16,7 @@ _EXPORTS = {
     "evolve_propagator": "dynamics",
     "initial_edge_state": "dynamics",
     "run_quench": "dynamics",
-    "LatticeConfig": "lattice",
+    "LatticeConfig": "config",
     "build_hamiltonian": "lattice",
     "eigendecompose": "spectral",
 }

@@ -7,7 +7,8 @@ step whose series misses its tail bound, unwritable output).
 
 Importing this module before numpy, as the ``nhssh`` script does, sets
 OPENBLAS_NUM_THREADS=1 in the process environment when it is unset; an import
-after numpy, or ``import nhssh``, sets nothing.
+after numpy, or ``import nhssh``, sets nothing. Only ``run`` loads numpy:
+``validate`` needs only the standard library.
 """
 
 from __future__ import annotations
@@ -24,15 +25,14 @@ from pathlib import Path
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .parallel import thread_count  # noqa: E402
-from .scenarios import (  # noqa: E402
+from .config import (  # noqa: E402
     SCENARIOS,
     ConfigError,
     ScenarioConfig,
     parse_config,
     parse_overrides,
-    run_scenario,
 )
+from .parallel import thread_count  # noqa: E402
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,6 +105,8 @@ def main(argv: list[str] | None = None) -> int:
               f"region={region}, u=({cfg.u_re:g}, {cfg.u_im:g}), "
               f"v_initial/w={cfg.v_initial:g}")
         return 0
+
+    from .scenarios import run_scenario
 
     try:
         written = run_scenario(cfg)

@@ -23,7 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import LatticeConfig, build_hamiltonian
+from .config import DEFAULT_ZERO_MODE_TOL, LatticeConfig
+from .lattice import build_hamiltonian
 from .spectral import Eigensystem, _sorted_eig, eigendecompose, zero_mode_report
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
 # Largest 1-norm condition of a right-eigenvector matrix that the spectral
 # route evolves in; past it (or at NaN or inf) the propagator takes over.
 CONDITION_CEILING = 1e10
-DEFAULT_ZERO_MODE_TOL = 1e-3
 DEFAULT_STEP_TOL = 1e-12
 # Time samples in one block of the spectral route. OpenBLAS's zgemm gives
 # every column the bits of the whole-grid product at 64, 128 and 256 columns

@@ -1,4 +1,4 @@
-"""Chain configurations and the embedded non-Hermitian SSH Hamiltonian.
+"""The embedded non-Hermitian SSH Hamiltonian of a chain configuration.
 
 Sites are numbered 1..2N. Odd sites form sublattice A, even sites sublattice B,
 so cell n owns sites (2n-1, 2n). An optional contiguous block of sites carries
@@ -8,9 +8,9 @@ u* on B sites, i.e. alternating loss and gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
+
+from .config import LatticeConfig
 
 __all__ = [
     "LatticeConfig",
@@ -19,60 +19,6 @@ __all__ = [
     "edge_correction",
     "is_pt_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class LatticeConfig:
-    """Full physical specification of one chain instance.
-
-    The intercell hopping ``w`` is the energy unit; scenario defaults fix
-    w = 1 and sweep ``v`` so that v/w is the control parameter. The block of
-    complex on-site potentials spans sites ``region_start``..``region_end``
-    (1-based, inclusive); leaving both unset gives the plain Hermitian chain.
-    """
-
-    n_cells: int
-    v: float
-    w: float = 1.0
-    region_start: int | None = None
-    region_end: int | None = None
-    u_re: float = 0.0
-    u_im: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
-        if self.v < 0:
-            raise ValueError(f"v must be >= 0, got {self.v}")
-        if self.w <= 0:
-            raise ValueError(f"w must be > 0, got {self.w}")
-        if (self.region_start is None) != (self.region_end is None):
-            raise ValueError("region_start and region_end must be set together")
-        if self.region_start is not None and self.region_end is not None:
-            if not 1 <= self.region_start <= self.region_end:
-                raise ValueError(
-                    "region_start must satisfy 1 <= region_start <= region_end, "
-                    f"got region_start={self.region_start}, region_end={self.region_end}"
-                )
-            if self.region_end > self.n_sites:
-                raise ValueError(
-                    f"region_end must be <= 2*n_cells = {self.n_sites}, "
-                    f"got region_end={self.region_end}"
-                )
-
-    @property
-    def n_sites(self) -> int:
-        return 2 * self.n_cells
-
-    @property
-    def has_region(self) -> bool:
-        return self.region_start is not None
-
-    def with_v(self, v: float) -> "LatticeConfig":
-        return replace(self, v=v)
-
-    def without_region(self) -> "LatticeConfig":
-        return replace(self, region_start=None, region_end=None)
 
 
 def hamiltonian_bands(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import LatticeConfig
+from .config import DEFAULT_SIDE_THRESHOLD, LatticeConfig
 
 __all__ = [
     "Side",
@@ -21,8 +21,6 @@ __all__ = [
     "reference_center",
     "DEFAULT_SIDE_THRESHOLD",
 ]
-
-DEFAULT_SIDE_THRESHOLD = 0.5
 
 
 class Side(Enum):

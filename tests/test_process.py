@@ -20,7 +20,7 @@ PUBLIC = {
     "evolve_propagator": "dynamics",
     "initial_edge_state": "dynamics",
     "run_quench": "dynamics",
-    "LatticeConfig": "lattice",
+    "LatticeConfig": "config",
     "build_hamiltonian": "lattice",
     "eigendecompose": "spectral",
 }
@@ -61,10 +61,29 @@ def python(args, env=None, **kwargs) -> str:
     return done.stdout
 
 
-@pytest.mark.parametrize("module,numpy", [("nhssh", False), ("nhssh.scenarios", True)])
+@pytest.mark.parametrize("module,numpy", [
+    ("nhssh", False), ("nhssh.config", False), ("nhssh.scenarios", True),
+])
 def test_import_loads_no_thread_pool_and_leaves_the_environment(module, numpy):
     loaded = json.loads(python(["-c", IMPORT_PROBE.format(module=module)]))
     assert loaded == {"numpy": numpy, "concurrent.futures": False, "environ_unchanged": True}
+
+
+def test_cli_validate_leaves_numpy_unloaded(tmp_path):
+    """Both the ok path and the config-error path of `nhssh validate`."""
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("", encoding="ascii")
+    unknown = tmp_path / "unknown.cfg"
+    unknown.write_text("no_such_key = 1\n", encoding="ascii")
+    probe = (
+        "import sys\n"
+        "from nhssh.cli import main\n"
+        "for path in sys.argv[1:]:\n"
+        "    print('code', main(['validate', '--config', path]), 'numpy' in sys.modules)\n"
+    )
+    lines = python(["-c", probe, str(empty), str(unknown)]).splitlines()
+    assert [line for line in lines if line.startswith("code ")] == [
+        "code 0 False", "code 2 False"]
 
 
 def test_cli_import_after_numpy_leaves_the_environment():

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nhssh import dynamics, scenarios
+from nhssh import config, dynamics, scenarios
 from nhssh.cli import main as cli_main
 from nhssh.dynamics import Edge, edge_states
 from nhssh.lattice import build_hamiltonian
@@ -147,6 +148,49 @@ def test_grid_defaults_per_scenario():
     assert len(ratio) == 41
     reshuffle = scenario_v_grid(ScenarioConfig(scenario="reshuffle"))
     assert reshuffle == pytest.approx([1.125, 1.5])
+
+
+def test_scenario_names_are_the_runners():
+    assert tuple(scenarios._RUNNERS) == config.SCENARIOS
+
+
+def built_grid(start: float, stop: float, step: float) -> list[float]:
+    """scenario_v_grid of a grid that ScenarioConfig may reject."""
+    return scenario_v_grid(SimpleNamespace(
+        scenario="spectrum", v_grid_start=start, v_grid_stop=stop, v_grid_step=step))
+
+
+def increasing(grid: list[float]) -> bool:
+    return all(b > a for a, b in zip(grid, grid[1:]))
+
+
+@pytest.mark.parametrize("start", [0.1, 1.0, 1.5, 1000.0])
+def test_grid_step_rule_against_the_built_grid(start):
+    """Just above twice the ulp of the last point the step is accepted and the
+    built points increase; at or below it the step is rejected, and at half an
+    ulp the built grid repeats a point."""
+    bound = 2 * math.ulp(start)
+    stop = start + 2.5 * bound  # three points, the last in start's binade
+
+    def grid_config(step: float) -> ScenarioConfig:
+        return ScenarioConfig(scenario="spectrum", v_grid_start=start,
+                              v_grid_stop=stop, v_grid_step=step)
+
+    grid = scenario_v_grid(grid_config(math.nextafter(bound, math.inf)))
+    assert len(grid) == 3 and math.ulp(grid[-1]) == math.ulp(start)
+    assert increasing(grid)
+    for step in (bound, math.nextafter(bound, 0.0), bound / 4):
+        with pytest.raises(ConfigError, match="v_grid_step"):
+            grid_config(step)
+    assert not increasing(built_grid(start, stop, bound / 4))
+
+
+def test_grid_step_rule_ignores_one_point_grids_and_rejects_overflowing_counts():
+    one_point = ScenarioConfig(v_grid_start=1.0, v_grid_stop=1.0, v_grid_step=1e-300)
+    assert scenario_v_grid(one_point) == [1.0]
+    # (stop - start) / step overflows to inf.
+    with pytest.raises(ConfigError, match="v_grid_step"):
+        ScenarioConfig(v_grid_start=0.0, v_grid_stop=2.0, v_grid_step=5e-324)
 
 
 def test_time_grid_contains_sample_default():
@@ -626,6 +670,25 @@ def test_cli_rejects_non_finite_values_and_negative_grid_start(tmp_path, capsys,
     assert cli_main(tiny_args("ratio-sweep", tmp_path) + ["--set", assignment]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "ratio_sweep.csv").exists()
+
+
+def test_cli_grid_step_too_small_to_separate_points_exit_code(tmp_path, capsys):
+    # A step below one ulp of 1.0: the built points round onto each other.
+    sets = ["n_cells=10", "region_start=9", "region_end=12", "v_grid_start=1.0",
+            "v_grid_stop=1.000000000000001", "v_grid_step=1e-16"]
+    assert not increasing(built_grid(1.0, 1.000000000000001, 1e-16))
+    config_file = tmp_path / "case.cfg"
+    config_file.write_text("".join(f"{item}\n" for item in sets))
+    assert cli_main(["validate", "--config", str(config_file)]) == 2
+    assert "v_grid_step" in capsys.readouterr().err
+    for scenario in ("spectrum", "ratio-sweep"):
+        out = tmp_path / scenario
+        args = ["run", "--scenario", scenario, "--out", str(out)]
+        for item in sets:
+            args += ["--set", item]
+        assert cli_main(args) == 2, scenario
+        assert "v_grid_step" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_unreadable_config_exit_code(tmp_path, capsys):
