@@ -32,6 +32,9 @@ SCENARIOS = ("spectrum", "lightcone", "bipartite", "ratio-sweep", "reshuffle")
 DEFAULT_ZERO_MODE_TOL = 1e-3
 DEFAULT_SIDE_THRESHOLD = 0.5
 
+# The most points a config's v/w or time grid may have: three orders above the
+# largest default grid, 1001 time samples.
+_MAX_GRID_POINTS = 10**6
 # Per-scenario (start, stop, step) defaults for the v/w grid.
 _GRID_DEFAULTS = {
     "spectrum": (0.1, 2.0, 0.01),
@@ -162,19 +165,19 @@ class ScenarioConfig:
             raise ConfigError(
                 f"v_grid_stop must be >= v_grid_start, got {start}..{stop}"
             )
-        # Each grid point start + k*step carries at most two roundings, of the
-        # product and of the sum, each within half an ulp of the last point.
-        # So with a step above two ulps of the last point every point exceeds
-        # the one before. An infinite quotient means a step far below that bound.
-        intervals = (stop - start) / step + 1e-9
-        if intervals >= 1 and (
-            intervals == math.inf
-            or step <= 2 * math.ulp(start + math.floor(intervals) * step)
+        # A point start + k*step carries at most two roundings (product, sum),
+        # each within half an ulp of the last point, so a step above two ulps
+        # of the last point keeps every point above the one before.
+        for key, (start, stop, step) in (
+            ("v_grid_step", (start, stop, step)), ("dt", (0.0, self.t_max, self.dt))
         ):
-            raise ConfigError(
-                f"v_grid_step must exceed twice the float spacing at the last "
-                f"grid point, got {step} for {start}..{stop}"
-            )
+            count = _grid_count(start, stop, step)
+            if count > _MAX_GRID_POINTS:
+                raise ConfigError(f"{key} must give at most {_MAX_GRID_POINTS} grid "
+                                  f"points, got {count:.6g} for {start}..{stop}")
+            if count > 1 and step <= 2 * math.ulp(start + (count - 1) * step):
+                raise ConfigError(f"{key} must exceed twice the float spacing at the "
+                                  f"last grid point, got {step} for {start}..{stop}")
         try:
             scenario_lattice(self, self.v_initial)
         except ValueError as exc:
@@ -252,8 +255,17 @@ def _resolved_grid(cfg: ScenarioConfig) -> tuple[float, float, float]:
     )
 
 
+def _grid_count(start: float, stop: float, step: float) -> float:
+    """Number of points start + k*step up to stop, inf if the quotient overflows;
+    the 1e-9 keeps a quotient just below a whole number from losing a point."""
+    intervals = (stop - start) / step + 1e-9
+    return intervals if intervals == math.inf else math.floor(intervals) + 1
+
+
+def _grid(start: float, stop: float, step: float) -> list[float]:
+    return [start + k * step for k in range(_grid_count(start, stop, step))]
+
+
 def scenario_v_grid(cfg: ScenarioConfig) -> list[float]:
     """The v/w grid for sweep scenarios, built as start + k*step."""
-    start, stop, step = _resolved_grid(cfg)
-    count = math.floor((stop - start) / step + 1e-9) + 1
-    return [start + k * step for k in range(count)]
+    return _grid(*_resolved_grid(cfg))

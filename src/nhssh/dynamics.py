@@ -25,6 +25,7 @@ import numpy as np
 
 from .config import DEFAULT_ZERO_MODE_TOL, LatticeConfig
 from .lattice import build_hamiltonian
+from .observables import site_density
 from .spectral import Eigensystem, _sorted_eig, eigendecompose, zero_mode_report
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "evolve_chebyshev",
     "run_quench",
     "CONDITION_CEILING",
-    "DEFAULT_ZERO_MODE_TOL",
     "DEFAULT_STEP_TOL",
 ]
 
@@ -83,8 +83,7 @@ class Trajectory:
 
     @property
     def densities(self) -> np.ndarray:
-        densities = np.abs(self.states)
-        return np.square(densities, out=densities)
+        return site_density(self.states)
 
 
 @dataclass(frozen=True, eq=False)

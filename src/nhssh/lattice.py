@@ -13,7 +13,6 @@ import numpy as np
 from .config import LatticeConfig
 
 __all__ = [
-    "LatticeConfig",
     "build_hamiltonian",
     "hamiltonian_bands",
     "edge_correction",

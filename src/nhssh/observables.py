@@ -19,7 +19,6 @@ __all__ = [
     "classify_side",
     "default_split",
     "reference_center",
-    "DEFAULT_SIDE_THRESHOLD",
 ]
 
 
@@ -52,7 +51,8 @@ def reference_center(config: LatticeConfig) -> float:
 
 def site_density(psi: np.ndarray) -> np.ndarray:
     """Probability density |psi_s|^2 on each site."""
-    return np.abs(np.asarray(psi)) ** 2
+    density = np.abs(np.asarray(psi))
+    return np.square(density, out=density)
 
 
 def bipartite_norms(

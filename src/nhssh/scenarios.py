@@ -2,8 +2,7 @@
 
 Maps scenario names to deterministic output files: spectrum and reshuffle
 tables, light-cone CSVs with graymap heatmaps, bipartite-norm curves, and
-reflection-ratio sweeps. The config names in ``__all__`` are re-exported
-from ``config``, which parses and validates config files.
+reflection-ratio sweeps.
 """
 
 from __future__ import annotations
@@ -16,31 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    SCENARIOS,
-    ConfigError,
-    ScenarioConfig,
-    apply_overrides,
-    parse_config,
-    parse_overrides,
-    scenario_lattice,
-    scenario_v_grid,
-)
+# perfbench/test_perfbench.py reads parse_config from here.
+from .config import ScenarioConfig, _grid, parse_config, scenario_lattice, scenario_v_grid
 from .dynamics import Edge, QuenchSpec, _quench_blocks, edge_states, evolve_chebyshev
 from .lattice import build_hamiltonian, hamiltonian_bands
-from .observables import bipartite_norms, default_split
+from .observables import bipartite_norms, default_split, site_density
 from .parallel import _one_blas_thread, thread_count
 from .spectral import Sweep, match_branches, spectrum_sweep
 
 __all__ = [
-    "ConfigError",
-    "ScenarioConfig",
-    "SCENARIOS",
-    "parse_config",
-    "parse_overrides",
-    "apply_overrides",
-    "scenario_lattice",
-    "scenario_v_grid",
     "time_grid",
     "compute_ratio_sweep",
     "ratio_crossing",
@@ -52,8 +35,7 @@ _PGM_MAXVAL = 65535
 
 
 def time_grid(cfg: ScenarioConfig) -> np.ndarray:
-    steps = int(np.floor(cfg.t_max / cfg.dt + 1e-9))
-    return np.array([k * cfg.dt for k in range(steps + 1)])
+    return np.array(_grid(0.0, cfg.t_max, cfg.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +79,6 @@ def _write_table(path: Path, columns: dict[str, Sequence]) -> Path:
     return path
 
 
-def _repeat_each(values: list[str], times: int) -> list[str]:
-    return [v for v in values for _ in range(times)]
-
-
 @dataclass(frozen=True)
 class _TiledLabels(Sequence):
     """A text column of ``rows`` cells, row i holding
@@ -123,9 +101,11 @@ class _TiledLabels(Sequence):
 def _write_sweep(path: Path, sweep: Sweep, branch: np.ndarray | None = None) -> Path:
     """One row per (grid point, eigenvalue); a branch column only with labels."""
     points, n = sweep.eigenvalues.shape
+    v_labels = np.array([_fmt(v) for v in sweep.v_over_w.tolist()], dtype=object)
+    index_labels = np.array([str(i) for i in range(n)], dtype=object)
     columns = {
-        "v_over_w": _repeat_each([_fmt(v) for v in sweep.v_over_w.tolist()], n),
-        "index": [str(i) for i in range(n)] * points,
+        "v_over_w": _TiledLabels(v_labels, n, points * n),
+        "index": _TiledLabels(index_labels, 1, points * n),
     }
     if branch is not None:
         columns["branch"] = branch.ravel()
@@ -224,8 +204,7 @@ def _run_lightcone(cfg: ScenarioConfig, out: Path) -> list[Path]:
     for side, blocks in _quench(cfg):
         tables[side] = densities = np.empty((times.size, n))
         for rows, states in blocks:
-            densities[rows] = np.abs(states)
-            np.square(densities[rows], out=densities[rows])
+            densities[rows] = site_density(states)
     t_labels = np.array([_fmt(t) for t in times.tolist()], dtype=object)
     site_labels = np.array([str(site) for site in range(1, n + 1)], dtype=object)
     columns = {

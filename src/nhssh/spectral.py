@@ -9,7 +9,8 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import LatticeConfig, build_hamiltonian, is_pt_matrix
+from .config import LatticeConfig
+from .lattice import build_hamiltonian, is_pt_matrix
 from .observables import (
     DEFAULT_SIDE_THRESHOLD,
     center_of_mass,

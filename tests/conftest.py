@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from nhssh import parallel
-from nhssh.lattice import LatticeConfig, build_hamiltonian
+from nhssh.config import LatticeConfig
+from nhssh.lattice import build_hamiltonian
 from nhssh.spectral import eigendecompose
 
 

@@ -11,13 +11,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from nhssh.config import LatticeConfig, ScenarioConfig, apply_overrides
 from nhssh.dynamics import Edge, QuenchSpec, evolve_propagator, evolve_spectral, \
     initial_edge_state, run_quench
-from nhssh.lattice import LatticeConfig, build_hamiltonian, edge_correction
+from nhssh.lattice import build_hamiltonian, edge_correction
 from nhssh.observables import BipartiteSplit, Side, bipartite_norms, \
     center_of_mass, classify_side
-from nhssh.scenarios import ScenarioConfig, compute_ratio_sweep, ratio_crossing, \
-    run_scenario
+from nhssh.scenarios import compute_ratio_sweep, ratio_crossing, run_scenario
 from nhssh.spectral import EpKind, eigendecompose, ep_locate, match_branches, \
     spectrum_sweep, zero_mode_report
 
@@ -287,8 +287,6 @@ REDUCED = {
 
 
 def test_criterion_14_scenario_determinism(tmp_path):
-    from nhssh.scenarios import apply_overrides
-
     for scenario, overrides in REDUCED.items():
         cfg = apply_overrides(ScenarioConfig(scenario=scenario), overrides)
         runs = []

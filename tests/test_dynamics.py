@@ -17,7 +17,8 @@ from nhssh.dynamics import (
     initial_edge_state,
     run_quench,
 )
-from nhssh.lattice import LatticeConfig, build_hamiltonian, hamiltonian_bands
+from nhssh.config import LatticeConfig
+from nhssh.lattice import build_hamiltonian, hamiltonian_bands
 from nhssh.spectral import eigendecompose
 
 from conftest import flagship_config

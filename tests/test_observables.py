@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nhssh.lattice import LatticeConfig
+from nhssh.config import LatticeConfig
 from nhssh.observables import (
     BipartiteSplit,
     Side,

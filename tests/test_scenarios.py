@@ -13,22 +13,19 @@ from hypothesis.extra.numpy import arrays
 
 from nhssh import config, dynamics, scenarios
 from nhssh.cli import main as cli_main
+from nhssh.config import (
+    ConfigError,
+    ScenarioConfig,
+    apply_overrides,
+    parse_config,
+    scenario_lattice,
+    scenario_v_grid,
+)
 from nhssh.dynamics import Edge, edge_states
 from nhssh.lattice import build_hamiltonian
 from nhssh.observables import bipartite_norms, default_split
 from nhssh.spectral import eigendecompose
-from nhssh.scenarios import (
-    ConfigError,
-    ScenarioConfig,
-    apply_overrides,
-    compute_ratio_sweep,
-    parse_config,
-    ratio_crossing,
-    run_scenario,
-    scenario_lattice,
-    scenario_v_grid,
-    time_grid,
-)
+from nhssh.scenarios import compute_ratio_sweep, ratio_crossing, run_scenario, time_grid
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -191,6 +188,23 @@ def test_grid_step_rule_ignores_one_point_grids_and_rejects_overflowing_counts()
     # (stop - start) / step overflows to inf.
     with pytest.raises(ConfigError, match="v_grid_step"):
         ScenarioConfig(v_grid_start=0.0, v_grid_stop=2.0, v_grid_step=5e-324)
+
+
+@pytest.mark.parametrize("changes, stop, key", [
+    ({"scenario": "ratio-sweep", "v_grid_start": 0.0, "v_grid_step": 1.0},
+     "v_grid_stop", "v_grid_step"),
+    ({"scenario": "lightcone", "dt": 1.0}, "t_max", "dt"),
+])
+def test_grid_of_a_million_points_validates_without_being_built(changes, stop, key,
+                                                                monkeypatch):
+    def no_grid(*span):
+        raise AssertionError(f"grid {span} built")
+
+    monkeypatch.setattr(config, "_grid", no_grid)
+    assert config._grid_count(0.0, 999999.0, 1.0) == 10**6
+    ScenarioConfig(**changes, **{stop: 999999.0})
+    with pytest.raises(ConfigError, match=key):
+        ScenarioConfig(**changes, **{stop: 1e6})
 
 
 def test_time_grid_contains_sample_default():
@@ -521,6 +535,19 @@ def test_ratio_sweep_mirror_inversion():
     assert ratio * mirrored == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("t_sample", [100.0, 160.0])
+def test_asymmetry_switch_window_holds_across_the_reflection_window(t_sample):
+    """Criterion 6's crossing window, and criterion 7's ordering, at both ends
+    of the flagship's first reflection, t in [100, 170]."""
+    crossings = {}
+    for u_im in (0.75, 1.0):
+        sweep = compute_ratio_sweep(ScenarioConfig(scenario="ratio-sweep", u_im=u_im,
+                                                   t_sample=t_sample))
+        crossings[u_im] = ratio_crossing(sweep["v_over_w"], sweep["ratio"])
+    assert crossings[0.75] is not None and 1.15 <= crossings[0.75] <= 1.35
+    assert crossings[1.0] is not None and crossings[1.0] > crossings[0.75]
+
+
 def test_one_point_ratio_sweep_equals_its_point_in_the_flagship_sweep():
     flagship = compute_ratio_sweep(ScenarioConfig(scenario="ratio-sweep"))
     assert flagship["v_over_w"].size == 41
@@ -550,7 +577,7 @@ class _StopAtEig(Exception):
     pass
 
 
-@pytest.mark.parametrize("scenario", scenarios.SCENARIOS)
+@pytest.mark.parametrize("scenario", config.SCENARIOS)
 def test_every_scenario_runs_its_eig_on_one_blas_thread(scenario, tmp_path,
                                                         monkeypatch, blas_threads):
     get, _ = blas_threads
@@ -689,6 +716,31 @@ def test_cli_grid_step_too_small_to_separate_points_exit_code(tmp_path, capsys):
         assert cli_main(args) == 2, scenario
         assert "v_grid_step" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Grids of 10**12 + 1, 10**12 + 1 and 10**17 + 1 points.
+@pytest.mark.parametrize("scenario, sets, key", [
+    ("ratio-sweep", ["v_grid_stop=1e12", "v_grid_step=1"], "v_grid_step"),
+    ("lightcone", ["t_max=1e12", "dt=1"], "dt"),
+    ("bipartite", ["t_max=1", "dt=1e-17"], "dt"),
+])
+def test_cli_grid_of_more_than_a_million_points_exit_code(scenario, sets, key, tmp_path,
+                                                         capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("run_scenario called")
+
+    monkeypatch.setattr(scenarios, "run_scenario", no_run)
+    config_file = tmp_path / "case.cfg"
+    config_file.write_text("".join(f"{item}\n" for item in [f"scenario={scenario}", *sets]))
+    assert cli_main(["validate", "--config", str(config_file)]) == 2
+    assert key in capsys.readouterr().err
+    out = tmp_path / "out"
+    args = ["run", "--scenario", scenario, "--out", str(out)]
+    for item in sets:
+        args += ["--set", item]
+    assert cli_main(args) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unreadable_config_exit_code(tmp_path, capsys):

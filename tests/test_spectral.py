@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from nhssh.config import LatticeConfig
 from nhssh.dynamics import NearDefectiveError
-from nhssh.lattice import LatticeConfig, build_hamiltonian, is_pt_matrix
+from nhssh.lattice import build_hamiltonian, is_pt_matrix
 from nhssh.spectral import (
     EpKind,
     Sweep,
