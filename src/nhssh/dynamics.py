@@ -55,10 +55,14 @@ _TIME_BLOCK = 128
 
 _TAYLOR_MAX_TERMS = 48
 _SCALE_TARGET = 0.5
-# a tau per step of evolve_chebyshev, which bounds its table of J_k(a tau),
-# and the magnitude at which _bessel_j rescales its recurrence.
+# a tau per step of evolve_chebyshev, which bounds its table of J_k(a tau);
+# its step count, which bounds its work (a t <= 10^6) as the 10^6-point cap
+# bounds the grids; the magnitude at which _bessel_j rescales its recurrence,
+# and the x below which J_0(x), J_1(x), J_2(x), ... round to 1, x / 2, 0, ...
 _CHEBYSHEV_MAX_ARGUMENT = 1000.0
+_CHEBYSHEV_MAX_STEPS = 1000
 _MILLER_RESCALE = 2.0**500
+_BESSEL_SERIES_BELOW = 2.0**-900
 
 
 class Edge(Enum):
@@ -258,8 +262,9 @@ def evolve_propagator(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Tra
     """March psi0 through exact step propagators between the sampled times.
 
     psi0 is the state at t = 0; the first sample follows after advancing by
-    times[0]. Propagators are cached per distinct step size, so uniform grids
-    cost a single matrix exponential. Times are checked as QuenchSpec does.
+    times[0]. Propagators are cached per distinct rounded step t_k - t_{k-1}:
+    only a dyadic dt costs one matrix exponential (dt = 0.2 to t = 500 has 12
+    distinct steps). Times are checked as QuenchSpec does.
     """
     h = np.asarray(h, dtype=complex)
     if not np.all(np.isfinite(h.view(float))):
@@ -298,12 +303,14 @@ def _bessel_j(x: np.ndarray) -> np.ndarray:
     power-of-two rescalings (which round nothing) and normalised by
     J_0 + 2 sum_k J_2k = 1 (Abramowitz & Stegun 9.1.46). Each member's start
     depends on its own x alone and every operation is elementwise over
-    members, so a row does not depend on the rest of the batch. J_k(0) is 1
-    for k = 0 and 0 otherwise.
+    members, so a row does not depend on the rest of the batch. Below
+    x = _BESSEL_SERIES_BELOW, where 2k / x could overflow, a row is the
+    rounded series instead: J_0 = 1, J_1 = x / 2 and 0 from k = 2 on.
     """
     x = np.asarray(x, dtype=float)
     start = _bessel_terms(x)
-    safe_x = np.where(x > 0.0, x, 1.0)
+    series = x < _BESSEL_SERIES_BELOW
+    safe_x = np.where(series, 1.0, x)
     table = np.empty((x.size, start.max() + 1))
     j, above, norm = np.zeros(x.size), np.zeros(x.size), np.zeros(x.size)
     for k in range(start.max(), -1, -1):
@@ -320,8 +327,9 @@ def _bessel_j(x: np.ndarray) -> np.ndarray:
             norm += j if k == 0 else 2.0 * j
         j, above = 2.0 * k / safe_x * j - above, j
     table /= norm[:, None]
-    table[x == 0.0] = 0.0
-    table[x == 0.0, 0] = 1.0
+    table[series] = 0.0
+    table[series, 0] = 1.0
+    table[series, 1] = x[series] / 2.0
     return table
 
 
@@ -343,7 +351,8 @@ def evolve_chebyshev(
     step of length tau is
         exp(-i H tau) psi = exp(-i c tau) sum_j (2 - delta_j0) (-i)^j
                             J_j(a tau) T_j((H - c) / a) psi.
-    Member g takes ceil(a t / 1000) equal steps, all with one table of J_j.
+    Member g takes ceil(a t / 1000) equal steps, all with one table of J_j,
+    and at most _CHEBYSHEV_MAX_STEPS = 1000: a t past 10^6 is a ValueError.
     Within a step it stops adding terms once two consecutive terms past
     j = a tau are below unit roundoff times the largest |Re| or |Im| of its
     sum; from then on its terms are exact zeros. A member whose sum stops
@@ -374,72 +383,61 @@ def evolve_chebyshev(
     re_lo, re_hi = (diagonal.real - radius).min(axis=1), (diagonal.real + radius).max(axis=1)
     im_lo, im_hi = diagonal.imag.min(axis=1), diagonal.imag.max(axis=1)
     centre_re, centre_im = (re_lo + re_hi) / 2.0, (im_lo + im_hi) / 2.0
-    # The larger half-side, so that a = 0 only for H = c I, whose series is
-    # its first term.
+    # The larger half-side, so that a = 0 only for H = c I, whose series
+    # stops at j = 0.
     half_width = np.maximum(re_hi - re_lo, im_hi - im_lo) / 2.0
     steps = np.maximum(1.0, np.ceil(half_width * t / _CHEBYSHEV_MAX_ARGUMENT))
-    if not np.all(steps < 2.0**63):
-        raise ValueError(f"t = {t:g} needs more Chebyshev steps than an int64 holds")
+    if not np.all(steps <= _CHEBYSHEV_MAX_STEPS):
+        raise ValueError(f"t = {t:g} needs more than {_CHEBYSHEV_MAX_STEPS} Chebyshev steps")
     steps = steps.astype(int)
     tau = t / steps
     argument = half_width * tau
     bessel, terms = _bessel_j(argument), _bessel_terms(argument)
     phase = np.exp(tau * (centre_im - 1j * centre_re))  # exp(-i c tau)
 
-    # A state block lives in a flat (2, (n + 2) * G * k) array: real and
-    # imaginary parts, then sites -1..n (the two end sites stay zero), then
-    # members and states. The hoppings then act as two shifts of the flat
-    # array and the on-site terms as contiguous slabs; reversing the first
-    # axis gives (Im, Re). 2 / a is folded into the coefficients of H - c.
+    # A state block is a (2, n + 2, G k) array: real and imaginary part,
+    # then padded site -1..n (the two end ones stay zero), then lane (member,
+    # then state). The hoppings then act as two shifts along the site axis and
+    # the on-site values as slabs; reversing the part axis gives (Im, Re).
+    # 2 / a is folded into the coefficients of H - c.
     k = states.shape[1]
-    stride = members * k  # one site of every member and state
     scale = 2.0 / np.where(half_width > 0.0, half_width, 1.0)[:, None]
 
     def per_site(values: np.ndarray) -> np.ndarray:
-        """(G, m) per-member values as (m, G * k), repeated for each state."""
-        return np.repeat(values.T, k, axis=1)
+        """(G, m) per-member values as (m + 2, G k): repeated per state, zero-padded."""
+        return np.pad(np.repeat(values.T, k, axis=1), ((1, 1), (0, 0)))
 
-    hops = np.zeros((n + 1, stride))  # bond b joins sites b - 1 and b
-    hops[1:n] = per_site(scale * off_diagonal)
-    hop_left, hop_right = hops[:-1].reshape(-1), hops[1:].reshape(-1)
-    on_site_re = per_site(scale * (diagonal.real - centre_re[:, None])).reshape(-1)
-    # Im(d - c) is nonzero on a few sites only: apply it there.
-    on_site_im = scale * (diagonal.imag - centre_im[:, None])
-    nonzero = np.flatnonzero(np.any(on_site_im != 0, axis=0))
+    hops = per_site(scale * off_diagonal)  # bond b joins padded site b to b + 1
+    on_site_re = per_site(scale * (diagonal.real - centre_re[:, None]))[1:-1]
+    # Im(d - c) is often nonzero in a short slab only: apply it there.
+    on_site_im = per_site(scale * (diagonal.imag - centre_im[:, None]))
+    nonzero = np.flatnonzero(np.any(on_site_im != 0, axis=1))
     block = slice(nonzero.min(), nonzero.max() + 1) if nonzero.size else slice(0, 0)
-    on_site_im = np.array([-1.0, 1.0])[:, None, None] * per_site(on_site_im)[block]
-
-    def sites(flat: np.ndarray) -> np.ndarray:
-        """(2, n, G * k) view of a flat block's real sites."""
-        return flat.reshape(2, n + 2, stride)[:, 1:-1]
-
-    inner = slice(stride, -stride)
-    # One scratch block serves each term, the products of a step and the
-    # magnitudes of a convergence test in turn.
-    scratch = np.empty((2, n * stride))
-    term = scratch.reshape(2, n, stride)
+    on_site_im = np.array([-1.0, 1.0])[:, None, None] * on_site_im[block]
+    # One scratch block holds each (-i)^j 2 J_j T_j psi, the products of a
+    # step and the magnitudes of a convergence test in turn.
+    scratch = np.empty((2, n, members * k))
 
     def chebyshev_step(current: np.ndarray, previous: np.ndarray) -> None:
         """previous <- 2 (H - c) / a current - previous."""
-        out = previous[:, inner]
-        np.multiply(hop_left, current[:, : -2 * stride], out=scratch)
+        out = previous[:, 1:-1]
+        np.multiply(hops[:-1], current[:, :-2], out=scratch)
         np.subtract(scratch, out, out=out)
-        np.multiply(hop_right, current[:, 2 * stride :], out=scratch)
+        np.multiply(hops[1:], current[:, 2:], out=scratch)
         out += scratch
-        np.multiply(on_site_re, current[:, inner], out=scratch)
+        np.multiply(on_site_re, current[:, 1:-1], out=scratch)
         out += scratch
-        sites(previous)[:, block] += on_site_im * sites(current)[::-1, block]
+        previous[:, block] += on_site_im * current[::-1, block]
 
-    def max_abs(flat: np.ndarray) -> np.ndarray:
-        """Per member, the largest |Re| or |Im| of a flat block (a square could overflow)."""
-        np.abs(flat[:, inner], out=scratch)
-        # Sites first: one max over axes (0, 2) at once is about 30x slower.
-        per_state = scratch.reshape(2 * n, stride).max(axis=0)
-        return per_state.reshape(members, k).max(axis=1)
+    def max_abs(array: np.ndarray) -> np.ndarray:
+        """Per member, the largest |Re| or |Im| of a state block (a square could overflow)."""
+        np.abs(array[:, 1:-1], out=scratch)
+        # Part and site axes first: one max over all but the member axis is ~30x slower.
+        return scratch.max(axis=(0, 1)).reshape(members, k).max(axis=1)
 
-    psi, acc, current, previous = (np.zeros((2, (n + 2) * stride)) for _ in range(4))
-    sites(psi)[0], sites(psi)[1] = (part.transpose(2, 0, 1).reshape(n, stride)
-                                    for part in (states.real, states.imag))
+    psi, acc, current, previous = (np.zeros((2, n + 2, members * k)) for _ in range(4))
+    psi_view = psi.reshape(2, n + 2, members, k)[:, 1:-1]  # (part, site, member, state)
+    psi_view[0], psi_view[1] = states.real.transpose(2, 0, 1), states.imag.transpose(2, 0, 1)
     swap_sign = np.array([1.0, -1.0])[:, None, None]
     unit_roundoff = np.finfo(float).eps / 2.0
     for step in range(int(steps.max())):
@@ -447,11 +445,11 @@ def evolve_chebyshev(
         # T_0 psi = psi and T_1 psi = (H - c) psi / a; members past their
         # last step keep psi (first coefficient 1, no further terms).
         np.copyto(previous, psi)
-        sites(previous)[:, :, np.repeat(~live, k)] = 0.0
+        previous[:, :, np.repeat(~live, k)] = 0.0
         current.fill(0.0)
         chebyshev_step(previous, current)
         current *= 0.5
-        np.multiply(np.repeat(np.where(live, bessel[:, 0], 1.0), k), sites(psi), out=sites(acc))
+        np.multiply(np.repeat(np.where(live, bessel[:, 0], 1.0), k), psi, out=acc)
         active = live.copy()
         small = np.zeros(members, dtype=bool)
         for order in range(1, bessel.shape[1]):
@@ -461,10 +459,10 @@ def evolve_chebyshev(
             if order % 4 >= 2:
                 coefficient = -coefficient
             if order % 2 == 0:
-                np.multiply(coefficient, sites(current), out=term)
+                np.multiply(coefficient, current[:, 1:-1], out=scratch)
             else:
-                np.multiply(swap_sign * coefficient, sites(current)[::-1], out=term)
-            sites(acc)[...] += term
+                np.multiply(swap_sign * coefficient, current[::-1, 1:-1], out=scratch)
+            acc[:, 1:-1] += scratch
             if order > argument[active].min():
                 bound = unit_roundoff * max_abs(acc)
                 was_small = small
@@ -473,8 +471,8 @@ def evolve_chebyshev(
                 )
                 stopped = active & ((small & was_small) | ~np.isfinite(bound))
                 if stopped.any():
-                    for flat in (current, previous):
-                        sites(flat)[:, :, np.repeat(stopped, k)] = 0.0
+                    for array in (current, previous):
+                        array[:, :, np.repeat(stopped, k)] = 0.0
                     active &= ~stopped
                     if not active.any():
                         break
@@ -483,12 +481,11 @@ def evolve_chebyshev(
             chebyshev_step(current, previous)
             current, previous = previous, current
         factor = np.repeat(np.where(live, phase, 1.0), k)
-        (psi_re, psi_im), (acc_re, acc_im) = sites(psi), sites(acc)
+        (psi_re, psi_im), (acc_re, acc_im) = psi[:, 1:-1], acc[:, 1:-1]
         psi_re[...] = factor.real * acc_re - factor.imag * acc_im
         psi_im[...] = factor.real * acc_im + factor.imag * acc_re
     result = np.empty(states.shape, dtype=complex)
-    result.real, result.imag = (part.reshape(n, members, k).transpose(1, 2, 0)
-                                for part in sites(psi))
+    result.real, result.imag = psi_view.transpose(0, 2, 3, 1)
     return result
 
 

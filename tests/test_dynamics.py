@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhssh import dynamics, spectral
@@ -465,6 +465,57 @@ def test_chebyshev_route_returns_an_overflowed_member_non_finite():
     [alone] = chebyshev_batch(configs[1:], block, 1000.0)
     assert np.array_equal(bounded, alone)
     assert np.linalg.norm(bounded) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_chebyshev_route_caps_its_step_count(monkeypatch):
+    monkeypatch.setattr(dynamics, "_CHEBYSHEV_MAX_STEPS", 2)
+    diagonal = np.array([[1.0 + 0j, -1.0]])  # uncoupled, half-width a = 1
+    states = np.ones((1, 1, 2), dtype=complex)
+    [[at_cap]] = evolve_chebyshev(diagonal, np.zeros((1, 1)), states, 2000.0)  # two steps
+    np.testing.assert_allclose(at_cap, np.exp(-2000j * diagonal[0]), rtol=1e-11)
+    with pytest.raises(ValueError, match="more than 2 Chebyshev steps"):
+        evolve_chebyshev(diagonal, np.zeros((1, 1)), states, np.nextafter(2000.0, np.inf))
+
+
+@st.composite
+def chain_batches(draw):
+    """Bands of 1-5 chains of one length, each with its own v and block (at
+    any place, ends included), and a random block of 1-3 states."""
+    n_cells = draw(st.integers(2, 12))
+    configs = []
+    for _ in range(draw(st.integers(1, 5))):
+        start = draw(st.integers(1, 2 * n_cells))
+        end = min(2 * n_cells, start + draw(st.integers(0, 3)))
+        configs.append(LatticeConfig(
+            n_cells=n_cells, v=draw(st.floats(0.0, 2.5)), region_start=start,
+            region_end=end, u_re=draw(st.floats(-2.0, 2.0)),
+            u_im=draw(st.one_of(st.just(0.0), st.floats(-1.5, 1.5)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (len(configs), draw(st.integers(1, 3)), 2 * n_cells)
+    return configs, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+# Up to t = 400 a member with v/w near 2.5 takes two steps, and a strong gain
+# site overflows a member, which must still come back as it does alone. The
+# example is a subnormal a t, where the Bessel recurrence's 2k / (a t) overflowed.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(deadline=None, max_examples=50, derandomize=True)
+@given(batch=chain_batches(), t=st.floats(0.0, 400.0))
+@example(batch=([LatticeConfig(n_cells=2, v=0.0, region_start=1, region_end=1)],
+                np.ones((1, 1, 4), dtype=complex)), t=2.225073858507e-311)
+def test_chebyshev_route_members_match_themselves_alone_and_the_propagator(batch, t):
+    configs, states = batch
+    diagonal, off_diagonal = map(np.array, zip(*map(hamiltonian_bands, configs)))
+    evolved = evolve_chebyshev(diagonal, off_diagonal, states, t)
+    for g, config in enumerate(configs):
+        [alone] = evolve_chebyshev(diagonal[g : g + 1], off_diagonal[g : g + 1],
+                                   states[g : g + 1], t)
+        assert evolved[g].tobytes() == alone.tobytes()
+        if config.u_im == 0.0:
+            h = build_hamiltonian(config)
+            propagated = np.array([evolve_propagator(h, psi, [t]).states[0]
+                                   for psi in states[g]])
+            assert relative_error(evolved[g], propagated) <= 1e-10
 
 
 def test_forced_propagator_fallback_matches_spectral_route_at_flagship_size(monkeypatch):

@@ -802,6 +802,19 @@ def test_cli_t_sample_beyond_the_chebyshev_step_count_exit_code(tmp_path, capsys
     assert not (tmp_path / "ratio_sweep.csv").exists()
 
 
+# A 20-site chain whose norm stays 1 needs 2 * 10^6 steps at t = 10^9 (a = 2).
+# Past the step cap it is refused before any work, not run for hours.
+def test_cli_t_sample_past_the_chebyshev_step_cap_exit_code(tmp_path, capsys):
+    args = ["run", "--scenario", "ratio-sweep", "--out", str(tmp_path)]
+    for item in ("n_cells=10", "region_start=9", "region_end=12", "u_re=0", "u_im=0",
+                 "t_sample=1e9", "v_grid_stop=1.0"):
+        args += ["--set", item]
+    assert cli_main(args) == 3
+    err = capsys.readouterr().err
+    assert "ratio-sweep" in err and "Chebyshev steps" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # A block mode with Im E ~ 0.31 at v/w = 0.5 overflows exp(-iEt) by t = 5000.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("scenario", ["lightcone", "bipartite"])
