@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 config problem (a config file that cannot be read
 as UTF-8, parse or validation, including an NHSSH_THREADS value that is not a
 positive integer), 3 simulation failure (missing edge state, a propagator
-step whose series misses its tail bound, unwritable output).
+step whose series misses its tail bound, a ratio-sweep weight that overflowed
+or lost its digits, unwritable output).
 
 Importing this module before numpy, as the ``nhssh`` script does, sets
 OPENBLAS_NUM_THREADS=1 in the process environment when it is unset; an import

@@ -63,6 +63,9 @@ _CHEBYSHEV_MAX_ARGUMENT = 1000.0
 _CHEBYSHEV_MAX_STEPS = 1000
 _MILLER_RESCALE = 2.0**500
 _BESSEL_SERIES_BELOW = 2.0**-900
+# The largest rounding error relative to a step's sum, estimated as unit
+# roundoff times its largest term, that evolve_chebyshev returns as a number.
+_CHEBYSHEV_ERROR_CEILING = 1e-10
 
 
 class Edge(Enum):
@@ -136,7 +139,11 @@ def edge_states(
     selection deterministic; the global phase is fixed by making the
     largest-modulus amplitude real and positive.
     """
-    eigenvalues, right = _sorted_eig(h_initial, pt_real=True)
+    eigenvalues, right = _sorted_eig(h_initial)
+    if eigenvalues.size < 4:
+        raise NoEdgeStateError(
+            f"edge states need a chain of at least 4 sites, got {eigenvalues.size}"
+        )
     report = zero_mode_report(eigenvalues)
     if report.min_abs_e >= zero_mode_tol:
         raise NoEdgeStateError(
@@ -347,8 +354,9 @@ def evolve_chebyshev(
     Kosloff, J. Chem. Phys. 81, 3967, 1984): no dense matrix, no LAPACK. The
     hoppings are real symmetric, so the spectrum of H_g lies in the rectangle
     of the Gershgorin rows' real parts and [min Im d, max Im d] (field of
-    values). With its centre c and half-width a (the larger half-side), a
-    step of length tau is
+    values). Its centre c has the real side's midpoint as Re c and the
+    spectrum's centroid, Im tr H / n, as Im c; its half-width a is the largest
+    distance from c to a side. A step of length tau is
         exp(-i H tau) psi = exp(-i c tau) sum_j (2 - delta_j0) (-i)^j
                             J_j(a tau) T_j((H - c) / a) psi.
     Member g takes ceil(a t / 1000) equal steps, all with one table of J_j,
@@ -356,7 +364,10 @@ def evolve_chebyshev(
     Within a step it stops adding terms once two consecutive terms past
     j = a tau are below unit roundoff times the largest |Re| or |Im| of its
     sum; from then on its terms are exact zeros. A member whose sum stops
-    being finite stops too and comes back non-finite. All arithmetic is
+    being finite stops too and comes back non-finite. So does a member whose
+    terms cancel: where unit roundoff times the largest term that the stop
+    test measured exceeds _CHEBYSHEV_ERROR_CEILING times the largest |Re| or
+    |Im| of a step's sum, it comes back NaN, its digits lost. All arithmetic is
     elementwise on real and imaginary parts, so a member's values do not
     depend on the rest of the batch. At t = 0 the states come back unchanged.
     """
@@ -381,11 +392,14 @@ def evolve_chebyshev(
     radius[:, :-1] += np.abs(off_diagonal)
     radius[:, 1:] += np.abs(off_diagonal)
     re_lo, re_hi = (diagonal.real - radius).min(axis=1), (diagonal.real + radius).max(axis=1)
-    im_lo, im_hi = diagonal.imag.min(axis=1), diagonal.imag.max(axis=1)
-    centre_re, centre_im = (re_lo + re_hi) / 2.0, (im_lo + im_hi) / 2.0
-    # The larger half-side, so that a = 0 only for H = c I, whose series
-    # stops at j = 0.
-    half_width = np.maximum(re_hi - re_lo, im_hi - im_lo) / 2.0
+    # The midpoint of the imaginary side as Im c would put the near-real
+    # eigenvalues of a one-site block off the scaled real axis, where T_j
+    # grows geometrically. a = 0 only for H = c I, whose series stops at j = 0.
+    im = diagonal.imag
+    centre_re, centre_im = (re_lo + re_hi) / 2.0, im.mean(axis=1)
+    half_width = np.maximum.reduce(
+        [(re_hi - re_lo) / 2.0, im.max(axis=1) - centre_im, centre_im - im.min(axis=1)]
+    )
     steps = np.maximum(1.0, np.ceil(half_width * t / _CHEBYSHEV_MAX_ARGUMENT))
     if not np.all(steps <= _CHEBYSHEV_MAX_STEPS):
         raise ValueError(f"t = {t:g} needs more than {_CHEBYSHEV_MAX_STEPS} Chebyshev steps")
@@ -440,6 +454,7 @@ def evolve_chebyshev(
     psi_view[0], psi_view[1] = states.real.transpose(2, 0, 1), states.imag.transpose(2, 0, 1)
     swap_sign = np.array([1.0, -1.0])[:, None, None]
     unit_roundoff = np.finfo(float).eps / 2.0
+    lost = np.zeros(members, dtype=bool)
     for step in range(int(steps.max())):
         live = step < steps
         # T_0 psi = psi and T_1 psi = (H - c) psi / a; members past their
@@ -452,6 +467,7 @@ def evolve_chebyshev(
         np.multiply(np.repeat(np.where(live, bessel[:, 0], 1.0), k), psi, out=acc)
         active = live.copy()
         small = np.zeros(members, dtype=bool)
+        largest = np.zeros(members)
         for order in range(1, bessel.shape[1]):
             # (-i)^order 2 J_order T_order psi: a real coefficient for even
             # orders; odd ones carry -+i, which swaps Re and Im.
@@ -464,11 +480,12 @@ def evolve_chebyshev(
                 np.multiply(swap_sign * coefficient, current[::-1, 1:-1], out=scratch)
             acc[:, 1:-1] += scratch
             if order > argument[active].min():
-                bound = unit_roundoff * max_abs(acc)
+                magnitude = max_abs(acc)
+                bound = unit_roundoff * magnitude
+                term = np.abs(2.0 * bessel[:, order]) * max_abs(current)
+                np.maximum(largest, term, out=largest)
                 was_small = small
-                small = (order > argument) & (
-                    np.abs(2.0 * bessel[:, order]) * max_abs(current) <= bound
-                )
+                small = (order > argument) & (term <= bound)
                 stopped = active & ((small & was_small) | ~np.isfinite(bound))
                 if stopped.any():
                     for array in (current, previous):
@@ -480,12 +497,15 @@ def evolve_chebyshev(
                     raise RuntimeError("Chebyshev series failed to converge within a step")
             chebyshev_step(current, previous)
             current, previous = previous, current
+        # Every live member has stopped, so magnitude is its final sum's.
+        lost |= live & (unit_roundoff * largest > _CHEBYSHEV_ERROR_CEILING * magnitude)
         factor = np.repeat(np.where(live, phase, 1.0), k)
         (psi_re, psi_im), (acc_re, acc_im) = psi[:, 1:-1], acc[:, 1:-1]
         psi_re[...] = factor.real * acc_re - factor.imag * acc_im
         psi_im[...] = factor.real * acc_im + factor.imag * acc_re
     result = np.empty(states.shape, dtype=complex)
     result.real, result.imag = psi_view.transpose(0, 2, 3, 1)
+    result[lost] = np.nan
     return result
 
 
@@ -520,7 +540,7 @@ def _quench_blocks(
     """
     psi0 = edge_states(build_hamiltonian(spec.initial_config), zero_mode_tol)
     h_final = build_hamiltonian(spec.final_config)
-    es = eigendecompose(h_final, pt_real=True)
+    es = eigendecompose(h_final)
     use_propagator = not es.condition <= CONDITION_CEILING
     for side in spec.sides:
         if use_propagator:

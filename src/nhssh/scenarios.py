@@ -248,7 +248,8 @@ def compute_ratio_sweep(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     runs it on one BLAS thread, like every scenario, so its bytes depend
     neither on the core count nor on ``OPENBLAS_NUM_THREADS``; a direct call
     uses the caller's BLAS threads. Raises RuntimeError when a state or its
-    half-chain weight stops being finite (a growing mode overflowed).
+    half-chain weight is not finite: a growing mode overflowed, or the
+    expansion lost its digits to cancellation and returned NaN.
     """
     lattice_initial = scenario_lattice(cfg, cfg.v_initial)
     psi0 = edge_states(build_hamiltonian(lattice_initial), cfg.zero_mode_tol)
@@ -268,7 +269,8 @@ def compute_ratio_sweep(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     if not finite.all():
         raise RuntimeError(
             f"the evolved edge-state weight at v/w={grid[np.argmin(finite)]:g} "
-            f"is not finite at t={cfg.t_sample:g}"
+            f"is not finite at t={cfg.t_sample:g} (a growing mode overflowed, or "
+            "the Chebyshev sum lost its digits to cancellation)"
         )
     vanishing = np.flatnonzero(left == 0.0)
     if vanishing.size:

@@ -66,15 +66,15 @@ class Eigensystem:
         return self.eigenvalues.shape[0]
 
 
-def _sorted_eig(h: np.ndarray, pt_real: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_eig(h: np.ndarray, pt_real: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors, sorted ascending by (Re E, Im E).
 
-    With ``pt_real`` and an exactly PT-symmetric h (P h* P = h, P the site
-    flip), the unitary U = (I + iP)/sqrt(2) makes M = U^H h U = Re h - (Im h) P
-    real with no rounding. Real eig of M is about 3x cheaper than complex eig
-    of h, and its conjugate pairs are exact, so within a pair -Im E sorts
-    first. The right vectors of h are U r for the unit right vectors r of M.
-    Any other h goes through complex eig.
+    An exactly PT-symmetric h (P h* P = h, P the site flip) goes through the
+    real M = U^H h U = Re h - (Im h) P, U = (I + iP)/sqrt(2), formed with no
+    rounding: real eig is ~3x cheaper, its conjugate pairs are exact (-Im E
+    sorts first), and h's right vectors are U r for M's unit right vectors r.
+    Any other h, or ``pt_real=False``, takes complex eig, whose pair order is
+    ulp noise; ``spectrum_sweep`` keeps it for the 20-site goldens, which pin it.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -96,12 +96,12 @@ def _sorted_eig(h: np.ndarray, pt_real: bool = False) -> tuple[np.ndarray, np.nd
     return eigenvalues[order], right[:, order]
 
 
-def eigendecompose(h: np.ndarray, *, pt_real: bool = False) -> Eigensystem:
+def eigendecompose(h: np.ndarray) -> Eigensystem:
     """Full dense eigendecomposition, sorted ascending by (Re E, Im E), with
-    the conditioning of its left basis. ``pt_real`` takes the exact real form
-    of a PT-symmetric h (see ``_sorted_eig``).
+    the conditioning of its left basis; a PT-symmetric h goes through its exact
+    real form (see ``_sorted_eig``).
     """
-    eigenvalues, right = _sorted_eig(h, pt_real)
+    eigenvalues, right = _sorted_eig(h)
     try:
         inverse = np.linalg.inv(right)
         condition = float(np.linalg.norm(right, 1) * np.linalg.norm(inverse, 1))
@@ -161,7 +161,7 @@ def spectrum_sweep(
 
     def at(ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         eigenvalues, right = _sorted_eig(
-            build_hamiltonian(template.with_v(ratio * template.w))
+            build_hamiltonian(template.with_v(ratio * template.w)), pt_real=False
         )
         com = center_of_mass(right)
         return eigenvalues, com, classify_side(com, center, threshold)

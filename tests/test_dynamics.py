@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nhssh import dynamics, spectral
@@ -135,7 +135,7 @@ def test_spectral_route_and_densities_are_bitwise_the_out_of_place_expressions()
     # The flagship quench, both sides, 1001 samples, through the real form as
     # run_quench decomposes it. evolve_spectral and densities work in place;
     # swapping a complex product's operands would change last bits here.
-    es = eigendecompose(build_hamiltonian(flagship_config(1.5)), pt_real=True)
+    es = eigendecompose(build_hamiltonian(flagship_config(1.5)))
     times = np.arange(1001) * 0.5
     for psi0 in edge_states(build_hamiltonian(flagship_config(0.25))).values():
         traj = evolve_spectral(es, psi0, times)
@@ -201,7 +201,8 @@ def test_run_quench_falls_back_to_propagator(monkeypatch):
 def test_flagship_edge_states_real_form_match_complex_route(monkeypatch):
     h = build_hamiltonian(flagship_config(0.25))
     states = edge_states(h)
-    monkeypatch.setattr(dynamics, "_sorted_eig", lambda a, pt_real: spectral._sorted_eig(a))
+    monkeypatch.setattr(dynamics, "_sorted_eig",
+                        lambda a, pt_real=True: spectral._sorted_eig(a, pt_real=False))
     reference = edge_states(h)
     for side in Edge:
         assert np.max(np.abs(states[side] - reference[side])) <= 1e-12
@@ -211,13 +212,14 @@ def test_flagship_edge_states_real_form_match_complex_route(monkeypatch):
 # either route by exp(0.46 t), so the routes are compared only up to t = 20.
 @pytest.mark.parametrize("v, t_max", [(0.25, 20.0), (1.0, 120.0), (1.125, 120.0),
                                       (1.5, 120.0), (2.0, 120.0)])
-def test_evolve_states_real_form_matches_complex_route(v, t_max):
+def test_evolve_states_real_form_matches_complex_route(v, t_max, monkeypatch):
     initial = flagship_config(0.25)
     psi0 = edge_states(build_hamiltonian(initial))
     h = build_hamiltonian(flagship_config(v))
     times = np.linspace(0.0, t_max, 13)
     trajectories = run_quench(QuenchSpec(initial, initial.with_v(v), tuple(Edge), times))
-    es = eigendecompose(h)
+    monkeypatch.setattr(spectral, "is_pt_matrix", lambda a: False)
+    es = eigendecompose(h)  # complex eig
     assert es.condition <= dynamics.CONDITION_CEILING
     for side, psi in psi0.items():
         reference = evolve_spectral(es, psi, times)
@@ -261,6 +263,21 @@ def test_propagator_step_beyond_its_series_raises():
     for t in (1e300, 1e308):
         with pytest.raises(RuntimeError, match=re.escape(f"dt={t:g}: series misses")):
             evolve_propagator(h, psi0, np.array([t]))
+
+
+def test_evolution_routes_reject_a_non_finite_matrix_or_a_misshapen_state():
+    h = build_hamiltonian(small_pt_config(1.1))
+    psi0 = initial_edge_state(build_hamiltonian(small_pt_config(0.25)), Edge.LEFT)
+    broken = h.copy()
+    broken[0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        evolve_propagator(broken, psi0, [1.0])
+    es = eigendecompose(h)
+    for psi in (psi0[:-1], np.stack([psi0, psi0])):
+        with pytest.raises(ValueError, match="psi0 has shape"):
+            evolve_propagator(h, psi, [1.0])
+        with pytest.raises(ValueError, match="psi0 has shape"):
+            evolve_spectral(es, psi, [1.0])
 
 
 def test_trajectory_densities_match_states():
@@ -537,3 +554,55 @@ def test_forced_propagator_fallback_matches_spectral_route_at_flagship_size(monk
         error = np.abs(forced[side].states - spectral[side].states).max(axis=1)
         scale = np.abs(spectral[side].states).max(axis=1)
         assert np.all(error <= 1e-10 * scale)
+
+
+@st.composite
+def edge_state_quenches(draw):
+    """A chain of 3-12 cells with a block of width 1-4 anywhere, quenched from
+    v/w in [0.05, 0.6] to v/w in [0, 2.5]."""
+    n_cells = draw(st.integers(3, 12))
+    width = draw(st.integers(1, 4))
+    start = draw(st.integers(1, 2 * n_cells - width + 1))
+    initial = LatticeConfig(
+        n_cells=n_cells, v=draw(st.floats(0.05, 0.6)), region_start=start,
+        region_end=start + width - 1, u_re=draw(st.floats(0.0, 1.5)),
+        u_im=draw(st.floats(0.0, 1.5)))
+    return initial, initial.with_v(draw(st.floats(0.0, 2.5)))
+
+
+# Both edge states through all three routes, with the propagator as the
+# oracle: no route may return a finite state off by more than 1e-8. Every
+# route puts rounding-level weight on every mode, and a mode with
+# gamma = Im E > 0 grows it by exp(gamma t), so a draw counts only where that
+# floor, estimated as u n kappa_1 exp(gamma t) over the largest |psi(t)|, is
+# within the tolerance. In the first example a gain site beside the edge
+# (gamma = 0.73) puts the floor at 1.8e-7: the spectral and propagator routes
+# are 7e-9 and 8e-9 off a 50-digit reference and 1.1e-8 apart, so it asserts
+# nothing. In the second (floor 9e-15), a Chebyshev centre at the midpoint of
+# [min Im d, max Im d] gives a finite state 1.0e-8 off.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(quench=edge_state_quenches(), t=st.floats(0.0, 150.0))
+@example(quench=(LatticeConfig(n_cells=5, v=0.25, region_start=2, region_end=2, u_im=1.5),) * 2,
+         t=23.0)
+@example(quench=(LatticeConfig(n_cells=5, v=0.25, region_start=2, region_end=2, u_im=1.0),
+                 LatticeConfig(n_cells=5, v=0.0, region_start=2, region_end=2, u_im=1.0)),
+         t=25.0)
+def test_no_route_returns_a_wrong_finite_state(quench, t):
+    initial, final = quench
+    try:
+        psi0 = edge_states(build_hamiltonian(initial))
+    except NoEdgeStateError:
+        assume(False)
+    block = np.stack([psi0[Edge.LEFT], psi0[Edge.RIGHT]])
+    h = build_hamiltonian(final)
+    propagated = np.array([evolve_propagator(h, psi, [t]).states[0] for psi in block])
+    es = eigendecompose(h)
+    gamma = max(0.0, es.eigenvalues.imag.max())
+    floor = (np.finfo(float).eps / 2.0 * h.shape[0] * es.condition * np.exp(gamma * t)
+             / np.max(np.abs(propagated)))
+    assume(floor <= 1e-8)
+    if es.condition <= dynamics.CONDITION_CEILING:
+        assert relative_error(spectral_at(es, block, t), propagated) <= 1e-8
+    [chebyshev] = chebyshev_batch([final], block, t)
+    assert not np.isfinite(chebyshev).all() or relative_error(chebyshev, propagated) <= 1e-8

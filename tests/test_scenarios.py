@@ -21,7 +21,7 @@ from nhssh.config import (
     scenario_lattice,
     scenario_v_grid,
 )
-from nhssh.dynamics import Edge, edge_states
+from nhssh.dynamics import Edge, edge_states, evolve_propagator
 from nhssh.lattice import build_hamiltonian
 from nhssh.observables import bipartite_norms, default_split
 from nhssh.spectral import eigendecompose
@@ -840,7 +840,7 @@ def test_cli_quench_overflowing_after_the_first_block_exit_code(tmp_path, capsys
     times = time_grid(cfg)
     # The left edge state goes first; its first non-finite sample, from the
     # whole-grid spectral expression.
-    es = eigendecompose(build_hamiltonian(scenario_lattice(cfg, cfg.v_final)), pt_real=True)
+    es = eigendecompose(build_hamiltonian(scenario_lattice(cfg, cfg.v_final)))
     psi0 = edge_states(build_hamiltonian(scenario_lattice(cfg, cfg.v_initial)))[Edge.LEFT]
     coeff = es.left_vectors.conj().T @ psi0
     phases = np.exp(-1j * np.outer(es.eigenvalues, times))
@@ -869,6 +869,81 @@ def test_cli_overflowing_ratio_sweep_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ratio-sweep" in err and "at v/w=1 is not finite at t=10000" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+# A one-site block's Im d sums to -+u_im. Centred at the midpoint of the
+# imaginary side, the expansion puts every near-real eigenvalue off the scaled
+# real axis: rho_right read 1.4e25 at site 109, where the propagator gives 0.166.
+@pytest.mark.parametrize("site", [109, 110])
+def test_one_site_block_ratio_sweep_matches_the_propagator(site):
+    cfg = ScenarioConfig(scenario="ratio-sweep", region_start=site, region_end=site,
+                         v_grid_stop=1.1)
+    columns = compute_ratio_sweep(cfg)
+    lattice = scenario_lattice(cfg, cfg.v_initial)
+    psi0 = edge_states(build_hamiltonian(lattice))
+    split = default_split(lattice)
+    for g, ratio in enumerate(scenario_v_grid(cfg)):
+        h = build_hamiltonian(scenario_lattice(cfg, ratio))
+        [left], _ = bipartite_norms(
+            evolve_propagator(h, psi0[Edge.LEFT], [cfg.t_sample]).states, split)
+        _, [right] = bipartite_norms(
+            evolve_propagator(h, psi0[Edge.RIGHT], [cfg.t_sample]).states, split)
+        assert columns["rho_left_init_left_half"][g] == pytest.approx(left, rel=1e-8)
+        assert columns["rho_right_init_right_half"][g] == pytest.approx(right, rel=1e-8)
+
+
+# Near an end of the chain the edge state weights a strongly damped block mode
+# whose expansion terms cancel: the sum is finite and off by 2 (site 21) to
+# 8.5e6 (site 7) relative. Its estimated rounding error turns it into NaN.
+@pytest.mark.parametrize("site", [7, 13, 21])
+def test_cli_ratio_sweep_that_loses_its_digits_exit_code(site, tmp_path, capsys):
+    args = ["run", "--scenario", "ratio-sweep", "--out", str(tmp_path)]
+    for item in (f"region_start={site}", f"region_end={site}", "v_grid_stop=1.1"):
+        args += ["--set", item]
+    assert cli_main(args) == 3
+    err = capsys.readouterr().err
+    assert "ratio-sweep" in err and "at v/w=1 is not finite at t=120" in err
+    assert "lost its digits" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("scenario", ["lightcone", "bipartite", "ratio-sweep"])
+@pytest.mark.parametrize("start, end", [("none", "none"), (1, 2)])
+def test_cli_one_cell_chain_has_no_edge_states_exit_code(scenario, start, end, tmp_path,
+                                                         capsys):
+    args = ["run", "--scenario", scenario, "--out", str(tmp_path), "--set", "n_cells=1",
+            "--set", f"region_start={start}", "--set", f"region_end={end}"]
+    assert cli_main(args) == 3
+    err = capsys.readouterr().err
+    assert scenario in err and "edge states need a chain of at least 4 sites, got 2" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("assignment, key", [
+    ("t_sample=-1", "t_sample"),
+    ("v_grid_stop=0.5", "v_grid_stop"),  # below the ratio sweep's start, 1.0
+])
+def test_cli_rejects_negative_t_sample_and_a_grid_that_stops_before_it_starts(
+        assignment, key, tmp_path, capsys):
+    args = ["run", "--scenario", "ratio-sweep", "--out", str(tmp_path), "--set", assignment]
+    assert cli_main(args) == 2
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_validate_names_a_pure_chain(tmp_path, capsys):
+    config = tmp_path / "pure.cfg"
+    config.write_text("region_start = none\nregion_end = none\n")
+    assert cli_main(["validate", "--config", str(config)]) == 0
+    assert "region=none" in capsys.readouterr().out
+
+
+def test_heatmap_of_a_zero_trajectory_is_black(tmp_path):
+    times = np.array([0.0, 0.5, 1.0])
+    scenarios._write_heatmap(tmp_path / "zero.pgm", tmp_path / "zero.txt", times,
+                             np.zeros((3, 4)))
+    assert (tmp_path / "zero.pgm").read_bytes() == b"P5\n3 4\n65535\n" + bytes(2 * 3 * 4)
+    assert "rho_max: 0 (" in (tmp_path / "zero.txt").read_text()
 
 
 def test_cli_validate(tmp_path, capsys):

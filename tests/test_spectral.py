@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nhssh import spectral
 from nhssh.config import LatticeConfig
 from nhssh.dynamics import NearDefectiveError
 from nhssh.lattice import build_hamiltonian, is_pt_matrix
@@ -98,6 +99,16 @@ def test_near_defective_flag_and_rejection(monkeypatch):
         evolve_spectral(es, np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0]))
 
 
+def test_eigendecompose_rejects_a_non_square_or_non_finite_matrix():
+    with pytest.raises(ValueError, match="square"):
+        eigendecompose(np.zeros((2, 3)))
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        h = np.eye(3, dtype=complex)
+        h[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            eigendecompose(h)
+
+
 def test_eigendecompose_needs_no_svd_and_reports_one_norm_condition(monkeypatch):
     try:  # the module whose globals cond and norm look svd up in
         from numpy.linalg import _linalg as impl  # numpy >= 2
@@ -124,10 +135,12 @@ REAL_FORM_RATIOS = [0.25, 1.0, 1.125, 1.5, 2.0]
 
 
 @pytest.mark.parametrize("v", REAL_FORM_RATIOS)
-def test_pt_real_form_matches_complex_eig(v):
+def test_pt_real_form_matches_complex_eig(v, monkeypatch):
     h = build_hamiltonian(flagship_config(v))
-    reference = eigendecompose(h)
-    es = eigendecompose(h, pt_real=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "is_pt_matrix", lambda a: False)
+        reference = eigendecompose(h)  # complex eig
+    es = eigendecompose(h)
     assert es.eigenvalues.dtype == complex
     # The greedy branch matching is a bijection; pair order may differ.
     match = _greedy_match(reference.eigenvalues, es.eigenvalues)
@@ -147,6 +160,16 @@ def test_pt_real_form_conjugate_pairs_are_exact(v):
     assert lower.size > 0
     assert np.count_nonzero(eigenvalues.imag > 0) == lower.size
     # Re E is bitwise equal within a pair, so -Im E sorts first.
+    partner = eigenvalues[lower + 1]
+    assert np.array_equal(partner.real, eigenvalues[lower].real)
+    assert np.array_equal(partner.imag, -eigenvalues[lower].imag)
+
+
+@pytest.mark.parametrize("v", [1.125, 1.5])
+def test_eigendecompose_of_a_pt_hamiltonian_gives_exact_conjugate_pairs(v):
+    eigenvalues = eigendecompose(build_hamiltonian(flagship_config(v))).eigenvalues
+    lower = np.flatnonzero(eigenvalues.imag < 0)
+    assert lower.size > 0
     partner = eigenvalues[lower + 1]
     assert np.array_equal(partner.real, eigenvalues[lower].real)
     assert np.array_equal(partner.imag, -eigenvalues[lower].imag)
@@ -198,8 +221,8 @@ def test_sweep_rows_ordering_and_determinism():
 
 def test_sweep_eigenvalues_match_eigendecompose():
     sweep = spectrum_sweep(flagship_config(0.25), [1.125])
-    es = eigendecompose(build_hamiltonian(flagship_config(1.125)))
-    assert np.array_equal(sweep.eigenvalues[0], es.eigenvalues)
+    eigenvalues, _ = _sorted_eig(build_hamiltonian(flagship_config(1.125)), pt_real=False)
+    assert np.array_equal(sweep.eigenvalues[0], eigenvalues)
 
 
 def test_sweep_rejects_bad_grid():
