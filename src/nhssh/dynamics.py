@@ -64,7 +64,7 @@ _CHEBYSHEV_MAX_STEPS = 1000
 _MILLER_RESCALE = 2.0**500
 _BESSEL_SERIES_BELOW = 2.0**-900
 # The largest rounding error relative to a step's sum, estimated as unit
-# roundoff times its largest term, that evolve_chebyshev returns as a number.
+# roundoff times its largest tail term, that evolve_chebyshev returns as a number.
 _CHEBYSHEV_ERROR_CEILING = 1e-10
 
 
@@ -139,11 +139,11 @@ def edge_states(
     selection deterministic; the global phase is fixed by making the
     largest-modulus amplitude real and positive.
     """
-    eigenvalues, right = _sorted_eig(h_initial)
-    if eigenvalues.size < 4:
+    if h_initial.shape[0] < 4:
         raise NoEdgeStateError(
-            f"edge states need a chain of at least 4 sites, got {eigenvalues.size}"
+            f"edge states need a chain of at least 4 sites, got {h_initial.shape[0]}"
         )
+    eigenvalues, right = _sorted_eig(h_initial)
     report = zero_mode_report(eigenvalues)
     if report.min_abs_e >= zero_mode_tol:
         raise NoEdgeStateError(
@@ -365,9 +365,9 @@ def evolve_chebyshev(
     j = a tau are below unit roundoff times the largest |Re| or |Im| of its
     sum; from then on its terms are exact zeros. A member whose sum stops
     being finite stops too and comes back non-finite. So does a member whose
-    terms cancel: where unit roundoff times the largest term that the stop
-    test measured exceeds _CHEBYSHEV_ERROR_CEILING times the largest |Re| or
-    |Im| of a step's sum, it comes back NaN, its digits lost. All arithmetic is
+    terms cancel: where unit roundoff times its largest term past j = a tau
+    exceeds _CHEBYSHEV_ERROR_CEILING times the largest |Re| or |Im| of a
+    step's sum, it comes back NaN, its digits lost. All arithmetic is
     elementwise on real and imaginary parts, so a member's values do not
     depend on the rest of the batch. At t = 0 the states come back unchanged.
     """
@@ -483,9 +483,10 @@ def evolve_chebyshev(
                 magnitude = max_abs(acc)
                 bound = unit_roundoff * magnitude
                 term = np.abs(2.0 * bessel[:, order]) * max_abs(current)
-                np.maximum(largest, term, out=largest)
+                tail = order > argument  # per member: the batch's minimum is not its own
+                np.maximum(largest, np.where(tail, term, 0.0), out=largest)
                 was_small = small
-                small = (order > argument) & (term <= bound)
+                small = tail & (term <= bound)
                 stopped = active & ((small & was_small) | ~np.isfinite(bound))
                 if stopped.any():
                     for array in (current, previous):

@@ -512,14 +512,25 @@ def chain_batches(draw):
     return configs, rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def unit_states(members, n, site):
+    states = np.zeros((members, 1, n), dtype=complex)
+    states[:, 0, site] = 1.0
+    return states
+
+
 # Up to t = 400 a member with v/w near 2.5 takes two steps, and a strong gain
 # site overflows a member, which must still come back as it does alone. The
-# example is a subnormal a t, where the Bessel recurrence's 2k / (a t) overflowed.
+# first example is a subnormal a t, where the Bessel recurrence's 2k / (a t)
+# overflowed. In the second the first member's lost-digits estimate is 9.2e-11
+# alone; counting terms below its own a tau once the second member's smaller
+# a tau is passed read 1.03e-10 and returned it NaN in the batch.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(deadline=None, max_examples=50, derandomize=True)
 @given(batch=chain_batches(), t=st.floats(0.0, 400.0))
 @example(batch=([LatticeConfig(n_cells=2, v=0.0, region_start=1, region_end=1)],
                 np.ones((1, 1, 4), dtype=complex)), t=2.225073858507e-311)
+@example(batch=([LatticeConfig(n_cells=4, v=v, region_start=5, region_end=5, u_re=1.0,
+                               u_im=1.0) for v in (1.0, 0.5)], unit_states(2, 8, 6)), t=46.0)
 def test_chebyshev_route_members_match_themselves_alone_and_the_propagator(batch, t):
     configs, states = batch
     diagonal, off_diagonal = map(np.array, zip(*map(hamiltonian_bands, configs)))

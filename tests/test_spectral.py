@@ -194,7 +194,7 @@ def test_pt_real_form_falls_back_to_complex_eig(monkeypatch):
     for h in (broken, broken_gain_loss, perturbed):
         assert not is_pt_matrix(h)
         eigenvalues, right = _sorted_eig(h, pt_real=True)
-        reference_eigenvalues, reference_right = _sorted_eig(h)
+        reference_eigenvalues, reference_right = _sorted_eig(h, pt_real=False)
         assert np.array_equal(eigenvalues, reference_eigenvalues)
         assert np.array_equal(right, reference_right)
     assert dtypes == [np.dtype(complex)] * 6
