@@ -74,7 +74,7 @@ class Edge(Enum):
 
 
 class NoEdgeStateError(RuntimeError):
-    """No near-zero modes to build an edge state from (e.g. v/w > 1)."""
+    """No pair of near-zero modes to build the edge states from (e.g. v/w > 1)."""
 
 
 class NearDefectiveError(RuntimeError):
@@ -137,19 +137,23 @@ def edge_states(
     right modes. Within their orthonormalized span each side gets the unit
     vector with maximal weight on its outermost cell, which makes the
     selection deterministic; the global phase is fixed by making the
-    largest-modulus amplitude real and positive.
+    largest-modulus amplitude real and positive. NoEdgeStateError unless
+    exactly two |E| lie below zero_mode_tol: a third, such as a block mode
+    at an exceptional point at zero energy, could take an edge mode's place.
     """
     if h_initial.shape[0] < 4:
         raise NoEdgeStateError(
             f"edge states need a chain of at least 4 sites, got {h_initial.shape[0]}"
         )
     eigenvalues, right = _sorted_eig(h_initial)
-    report = zero_mode_report(eigenvalues)
-    if report.min_abs_e >= zero_mode_tol:
+    moduli = np.sort(np.abs(eigenvalues))
+    count = np.count_nonzero(moduli < zero_mode_tol)
+    if count != 2:
         raise NoEdgeStateError(
-            f"no zero modes: min |E| = {report.min_abs_e:.3e} >= {zero_mode_tol:g}"
+            f"edge states need exactly 2 modes with |E| < {zero_mode_tol:g}, found "
+            f"{count}; the three smallest |E| are {', '.join(f'{m:.3e}' for m in moduli[:3])}"
         )
-    i, j = report.indices
+    i, j = zero_mode_report(eigenvalues).indices
     q1 = right[:, i]
     q1 = q1 / np.linalg.norm(q1)
     q2 = right[:, j] - (q1.conj() @ right[:, j]) * q1
@@ -298,19 +302,19 @@ def evolve_propagator(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Tra
 
 
 def _bessel_terms(x: np.ndarray) -> np.ndarray:
-    """Index at which _bessel_j starts each member's recurrence; its table ends there."""
+    """Index at which _bessel_j starts each lane's recurrence; its table ends there."""
     return np.ceil(1.5 * x).astype(int) + 200
 
 
 def _bessel_j(x: np.ndarray) -> np.ndarray:
-    """J_k(x_g) for every member g, as a (G, K) table with K > 1.5 x_g + 200.
+    """J_k(x_l) for every lane l, as an (L, K) table with K > 1.5 x_l + 200.
 
     Miller's backward recurrence J_{k-1} = (2k / x) J_k - J_{k+1}, started
-    from J = 1 at k = ceil(1.5 x_g) + 200 with zeros above, kept in range by
+    from J = 1 at k = ceil(1.5 x_l) + 200 with zeros above, kept in range by
     power-of-two rescalings (which round nothing) and normalised by
-    J_0 + 2 sum_k J_2k = 1 (Abramowitz & Stegun 9.1.46). Each member's start
+    J_0 + 2 sum_k J_2k = 1 (Abramowitz & Stegun 9.1.46). Each lane's start
     depends on its own x alone and every operation is elementwise over
-    members, so a row does not depend on the rest of the batch. Below
+    lanes, so a row does not depend on the rest of the batch. Below
     x = _BESSEL_SERIES_BELOW, where 2k / x could overflow, a row is the
     rounded series instead: J_0 = 1, J_1 = x / 2 and 0 from k = 2 on.
     """
@@ -343,44 +347,45 @@ def _bessel_j(x: np.ndarray) -> np.ndarray:
 def evolve_chebyshev(
     diagonal: np.ndarray, off_diagonal: np.ndarray, states: np.ndarray, t: float
 ) -> np.ndarray:
-    """Evolve a batch of state blocks to time t, each under its own tridiagonal H.
+    """Evolve a batch of states to time t, each under its own tridiagonal H.
 
-    Member g has H_g with complex diagonal ``diagonal[g]`` (n,) and the real
-    ``off_diagonal[g]`` (n - 1,) on both sides, as ``hamiltonian_bands`` gives;
-    ``states[g]`` is a (k, n) block of states, one per row. Returns
-    exp(-i H_g t) states[g] for every g as a (G, k, n) array.
+    Lane l holds the state ``states[l]`` (n,) and H_l, with complex diagonal
+    ``diagonal[l]`` (n,) and the real ``off_diagonal[l]`` (n - 1,) on both
+    sides, as ``hamiltonian_bands`` gives. Returns exp(-i H_l t) states[l]
+    for every lane as an (L, n) array.
 
     The action is a Chebyshev expansion on the three bands (Tal-Ezer &
     Kosloff, J. Chem. Phys. 81, 3967, 1984): no dense matrix, no LAPACK. The
-    hoppings are real symmetric, so the spectrum of H_g lies in the rectangle
+    hoppings are real symmetric, so the spectrum of H_l lies in the rectangle
     of the Gershgorin rows' real parts and [min Im d, max Im d] (field of
     values). Its centre c has the real side's midpoint as Re c and the
     spectrum's centroid, Im tr H / n, as Im c; its half-width a is the largest
     distance from c to a side. A step of length tau is
         exp(-i H tau) psi = exp(-i c tau) sum_j (2 - delta_j0) (-i)^j
                             J_j(a tau) T_j((H - c) / a) psi.
-    Member g takes ceil(a t / 1000) equal steps, all with one table of J_j,
+    Lane l takes ceil(a t / 1000) equal steps, all with one table of J_j,
     and at most _CHEBYSHEV_MAX_STEPS = 1000: a t past 10^6 is a ValueError.
     Within a step it stops adding terms once two consecutive terms past
     j = a tau are below unit roundoff times the largest |Re| or |Im| of its
-    sum; from then on its terms are exact zeros. A member whose sum stops
-    being finite stops too and comes back non-finite. So does a member whose
-    terms cancel: where unit roundoff times its largest term past j = a tau
+    sum; from then on its terms are exact zeros. A lane whose sum stops
+    being finite stops too and comes back non-finite. A lane comes back NaN,
+    its digits lost, where its table of J_j ends before its terms stop, or
+    where they cancel: unit roundoff times its largest term past j = a tau
     exceeds _CHEBYSHEV_ERROR_CEILING times the largest |Re| or |Im| of a
-    step's sum, it comes back NaN, its digits lost. All arithmetic is
-    elementwise on real and imaginary parts, so a member's values do not
-    depend on the rest of the batch. At t = 0 the states come back unchanged.
+    step's sum. Past its input checks it raises nothing. All arithmetic is
+    elementwise, so a lane does not depend on the rest of the batch. At
+    t = 0 the states come back unchanged.
     """
     diagonal = np.asarray(diagonal, dtype=complex)
     off_diagonal = np.asarray(off_diagonal, dtype=float)
     states = np.asarray(states, dtype=complex)
-    members, n = diagonal.shape
-    if off_diagonal.shape != (members, n - 1):
+    lanes, n = diagonal.shape
+    if off_diagonal.shape != (lanes, n - 1):
         raise ValueError(
-            f"off_diagonal has shape {off_diagonal.shape}, expected ({members}, {n - 1})"
+            f"off_diagonal has shape {off_diagonal.shape}, expected ({lanes}, {n - 1})"
         )
-    if states.ndim != 3 or states.shape[0] != members or states.shape[2] != n:
-        raise ValueError(f"states has shape {states.shape}, expected ({members}, k, {n})")
+    if states.shape != (lanes, n):
+        raise ValueError(f"states has shape {states.shape}, expected ({lanes}, {n})")
     if not (np.all(np.isfinite(diagonal.view(float))) and np.all(np.isfinite(off_diagonal))):
         raise ValueError("band entries must be finite")
     if not (np.isfinite(t) and t >= 0.0):
@@ -388,7 +393,7 @@ def evolve_chebyshev(
     if t == 0.0:
         return states.copy()
 
-    radius = np.zeros((members, n))
+    radius = np.zeros((lanes, n))
     radius[:, :-1] += np.abs(off_diagonal)
     radius[:, 1:] += np.abs(off_diagonal)
     re_lo, re_hi = (diagonal.real - radius).min(axis=1), (diagonal.real + radius).max(axis=1)
@@ -409,17 +414,16 @@ def evolve_chebyshev(
     bessel, terms = _bessel_j(argument), _bessel_terms(argument)
     phase = np.exp(tau * (centre_im - 1j * centre_re))  # exp(-i c tau)
 
-    # A state block is a (2, n + 2, G k) array: real and imaginary part,
-    # then padded site -1..n (the two end ones stay zero), then lane (member,
-    # then state). The hoppings then act as two shifts along the site axis and
-    # the on-site values as slabs; reversing the part axis gives (Im, Re).
-    # 2 / a is folded into the coefficients of H - c.
-    k = states.shape[1]
+    # A batch of states is a (2, n + 2, L) array: real and imaginary part,
+    # then padded site -1..n (the two end ones stay zero), then lane. The
+    # hoppings then act as two shifts along the site axis and the on-site
+    # values as slabs; reversing the part axis gives (Im, Re). 2 / a is
+    # folded into the coefficients of H - c.
     scale = 2.0 / np.where(half_width > 0.0, half_width, 1.0)[:, None]
 
     def per_site(values: np.ndarray) -> np.ndarray:
-        """(G, m) per-member values as (m + 2, G k): repeated per state, zero-padded."""
-        return np.pad(np.repeat(values.T, k, axis=1), ((1, 1), (0, 0)))
+        """(L, m) per-lane values as (m + 2, L), zero-padded; C order steps twice as fast."""
+        return np.pad(np.ascontiguousarray(values.T), ((1, 1), (0, 0)))
 
     hops = per_site(scale * off_diagonal)  # bond b joins padded site b to b + 1
     on_site_re = per_site(scale * (diagonal.real - centre_re[:, None]))[1:-1]
@@ -428,9 +432,9 @@ def evolve_chebyshev(
     nonzero = np.flatnonzero(np.any(on_site_im != 0, axis=1))
     block = slice(nonzero.min(), nonzero.max() + 1) if nonzero.size else slice(0, 0)
     on_site_im = np.array([-1.0, 1.0])[:, None, None] * on_site_im[block]
-    # One scratch block holds each (-i)^j 2 J_j T_j psi, the products of a
+    # One scratch array holds each (-i)^j 2 J_j T_j psi, the products of a
     # step and the magnitudes of a convergence test in turn.
-    scratch = np.empty((2, n, members * k))
+    scratch = np.empty((2, n, lanes))
 
     def chebyshev_step(current: np.ndarray, previous: np.ndarray) -> None:
         """previous <- 2 (H - c) / a current - previous."""
@@ -444,34 +448,32 @@ def evolve_chebyshev(
         previous[:, block] += on_site_im * current[::-1, block]
 
     def max_abs(array: np.ndarray) -> np.ndarray:
-        """Per member, the largest |Re| or |Im| of a state block (a square could overflow)."""
+        """Per lane, the largest |Re| or |Im| of its state (a square could overflow)."""
         np.abs(array[:, 1:-1], out=scratch)
-        # Part and site axes first: one max over all but the member axis is ~30x slower.
-        return scratch.max(axis=(0, 1)).reshape(members, k).max(axis=1)
+        return scratch.max(axis=(0, 1))
 
-    psi, acc, current, previous = (np.zeros((2, n + 2, members * k)) for _ in range(4))
-    psi_view = psi.reshape(2, n + 2, members, k)[:, 1:-1]  # (part, site, member, state)
-    psi_view[0], psi_view[1] = states.real.transpose(2, 0, 1), states.imag.transpose(2, 0, 1)
+    psi, acc, current, previous = (np.zeros((2, n + 2, lanes)) for _ in range(4))
+    psi[0, 1:-1], psi[1, 1:-1] = states.real.T, states.imag.T
     swap_sign = np.array([1.0, -1.0])[:, None, None]
     unit_roundoff = np.finfo(float).eps / 2.0
-    lost = np.zeros(members, dtype=bool)
+    lost = np.zeros(lanes, dtype=bool)
     for step in range(int(steps.max())):
         live = step < steps
-        # T_0 psi = psi and T_1 psi = (H - c) psi / a; members past their
+        # T_0 psi = psi and T_1 psi = (H - c) psi / a; lanes past their
         # last step keep psi (first coefficient 1, no further terms).
         np.copyto(previous, psi)
-        previous[:, :, np.repeat(~live, k)] = 0.0
+        previous[:, :, ~live] = 0.0
         current.fill(0.0)
         chebyshev_step(previous, current)
         current *= 0.5
-        np.multiply(np.repeat(np.where(live, bessel[:, 0], 1.0), k), psi, out=acc)
+        np.multiply(np.where(live, bessel[:, 0], 1.0), psi, out=acc)
         active = live.copy()
-        small = np.zeros(members, dtype=bool)
-        largest = np.zeros(members)
+        small = np.zeros(lanes, dtype=bool)
+        largest = np.zeros(lanes)
         for order in range(1, bessel.shape[1]):
             # (-i)^order 2 J_order T_order psi: a real coefficient for even
             # orders; odd ones carry -+i, which swaps Re and Im.
-            coefficient = np.repeat(2.0 * bessel[:, order], k)
+            coefficient = 2.0 * bessel[:, order]
             if order % 4 >= 2:
                 coefficient = -coefficient
             if order % 2 == 0:
@@ -483,29 +485,30 @@ def evolve_chebyshev(
                 magnitude = max_abs(acc)
                 bound = unit_roundoff * magnitude
                 term = np.abs(2.0 * bessel[:, order]) * max_abs(current)
-                tail = order > argument  # per member: the batch's minimum is not its own
+                tail = order > argument  # per lane: the batch's minimum is not its own
                 np.maximum(largest, np.where(tail, term, 0.0), out=largest)
                 was_small = small
                 small = tail & (term <= bound)
                 stopped = active & ((small & was_small) | ~np.isfinite(bound))
+                unconverged = active & ~stopped & (order >= terms)  # end of its J_j table
+                lost |= unconverged
+                stopped |= unconverged
                 if stopped.any():
                     for array in (current, previous):
-                        array[:, :, np.repeat(stopped, k)] = 0.0
+                        array[:, :, stopped] = 0.0
                     active &= ~stopped
                     if not active.any():
                         break
-                if np.any(active & (order >= terms)):
-                    raise RuntimeError("Chebyshev series failed to converge within a step")
             chebyshev_step(current, previous)
             current, previous = previous, current
-        # Every live member has stopped, so magnitude is its final sum's.
+        # Every live lane has stopped, so magnitude is its final sum's.
         lost |= live & (unit_roundoff * largest > _CHEBYSHEV_ERROR_CEILING * magnitude)
-        factor = np.repeat(np.where(live, phase, 1.0), k)
+        factor = np.where(live, phase, 1.0)
         (psi_re, psi_im), (acc_re, acc_im) = psi[:, 1:-1], acc[:, 1:-1]
         psi_re[...] = factor.real * acc_re - factor.imag * acc_im
         psi_im[...] = factor.real * acc_im + factor.imag * acc_re
-    result = np.empty(states.shape, dtype=complex)
-    result.real, result.imag = psi_view.transpose(0, 2, 3, 1)
+    result = np.empty((lanes, n), dtype=complex)
+    result.real, result.imag = psi[0, 1:-1].T, psi[1, 1:-1].T
     result[lost] = np.nan
     return result
 

@@ -258,13 +258,13 @@ def compute_ratio_sweep(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     diagonal, off_diagonal = map(np.array, zip(*(
         hamiltonian_bands(scenario_lattice(cfg, ratio)) for ratio in grid
     )))
-    initial = np.stack([psi0[Edge.LEFT], psi0[Edge.RIGHT]])
+    # Two lanes per grid point: the left edge state, then the right.
     states = evolve_chebyshev(
-        diagonal, off_diagonal, np.broadcast_to(initial, (grid.size, *initial.shape)),
-        cfg.t_sample,
+        np.repeat(diagonal, 2, axis=0), np.repeat(off_diagonal, 2, axis=0),
+        np.tile([psi0[Edge.LEFT], psi0[Edge.RIGHT]], (grid.size, 1)), cfg.t_sample,
     )
-    left, _ = bipartite_norms(states[:, 0], split)
-    _, right = bipartite_norms(states[:, 1], split)
+    left, _ = bipartite_norms(states[0::2], split)
+    _, right = bipartite_norms(states[1::2], split)
     finite = np.isfinite(left) & np.isfinite(right)
     if not finite.all():
         raise RuntimeError(

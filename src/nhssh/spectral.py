@@ -51,8 +51,8 @@ class Eigensystem:
     ``condition`` is the 1-norm condition number ||R||_1 ||R^-1||_1 of the
     right-vector matrix R (inf when R is exactly singular), and
     ``completeness_residual`` is the Frobenius norm of R R^-1 - I, an upper
-    bound on its 2-norm. Whether the basis is good enough to evolve in is
-    ``dynamics``'s decision, not recorded here.
+    bound on its 2-norm (inf where its square overflows). Whether the basis
+    is good enough to evolve in is ``dynamics``'s decision, not recorded here.
     """
 
     eigenvalues: np.ndarray
@@ -111,7 +111,8 @@ def eigendecompose(h: np.ndarray) -> Eigensystem:
         condition = float(np.inf)
     product = right @ inverse
     product[np.diag_indices_from(product)] -= 1.0
-    completeness = float(np.linalg.norm(product))
+    with np.errstate(over="ignore"):
+        completeness = float(np.linalg.norm(product))
     left = np.conjugate(inverse, out=inverse).T
     return Eigensystem(
         eigenvalues=eigenvalues,

@@ -77,6 +77,14 @@ def test_no_edge_state_beyond_transition():
         initial_edge_state(h, Edge.LEFT)
 
 
+def test_no_edge_states_where_a_block_mode_sits_at_zero_energy():
+    # With u = -+i the block's central bond, w = 1, is an exceptional point at
+    # E = 0: four |E| lie below the tolerance (1.3e-16, 3.7e-15 and 3.8e-9
+    # twice), and the smallest pair held one edge mode and one block mode.
+    with pytest.raises(NoEdgeStateError, match=r"exactly 2 modes .* found 4; .*, 3\.820e-09$"):
+        edge_states(build_hamiltonian(flagship_config(0.25, u=(0.0, 1.0))))
+
+
 def test_spectral_evolution_returns_initial_state_at_t_zero():
     h = build_hamiltonian(small_pt_config(1.3))
     es = eigendecompose(h)
@@ -294,10 +302,14 @@ def test_trajectory_densities_match_states():
 # ---------------------------------------------------------------------------
 
 def chebyshev_batch(configs, states, t):
-    """evolve_chebyshev of the same (k, n) block of states under each config."""
+    """evolve_chebyshev of the same (k, n) block of states under each config,
+    one lane per (config, state), as a (configs, k, n) array."""
     diagonal, off_diagonal = map(np.array, zip(*map(hamiltonian_bands, configs)))
-    batch = np.broadcast_to(states, (len(configs), *states.shape))
-    return evolve_chebyshev(diagonal, off_diagonal, batch, t)
+    k = len(states)
+    evolved = evolve_chebyshev(np.repeat(diagonal, k, axis=0),
+                               np.repeat(off_diagonal, k, axis=0),
+                               np.tile(states, (len(configs), 1)), t)
+    return evolved.reshape(len(configs), k, -1)
 
 
 def spectral_at(es, block, t):
@@ -378,24 +390,25 @@ def test_chebyshev_route_t_zero_and_members_apart():
 def test_chebyshev_route_single_site_gain_and_loss():
     rates = np.array([0.3, -0.1, 0.0])  # loss, gain, neither
     states = evolve_chebyshev((-1j * rates)[:, None], np.zeros((3, 0)),
-                           np.ones((3, 1, 1), dtype=complex), 5.0)
-    np.testing.assert_allclose(states[:, 0, 0], np.exp(-rates * 5.0), rtol=1e-14)
+                              np.ones((3, 1), dtype=complex), 5.0)
+    np.testing.assert_allclose(states[:, 0], np.exp(-rates * 5.0), rtol=1e-14)
 
 
 def test_chebyshev_route_uncoupled_gain_and_loss_sites():
     # No hopping and equal Re d: the enclosure's real side is a point, so the
     # imaginary side sets the half-width.
     diagonal = np.array([[0.5 - 0.3j, 0.5 + 0.2j, 0.5 + 0.0j]])
-    states = evolve_chebyshev(diagonal, np.zeros((1, 2)), np.ones((1, 1, 3), dtype=complex), 5.0)
-    np.testing.assert_allclose(states[0, 0], np.exp(-1j * diagonal[0] * 5.0), rtol=1e-13)
+    states = evolve_chebyshev(diagonal, np.zeros((1, 2)), np.ones((1, 3), dtype=complex), 5.0)
+    np.testing.assert_allclose(states[0], np.exp(-1j * diagonal[0] * 5.0), rtol=1e-13)
 
 
 def test_chebyshev_route_rejects_malformed_input():
     diagonal, off_diagonal = np.zeros((2, 4), dtype=complex), np.ones((2, 3))
-    states = np.ones((2, 1, 4), dtype=complex)
+    states = np.ones((2, 4), dtype=complex)
     for args in [(diagonal, off_diagonal[:, :2], states, 1.0),
-                 (diagonal, off_diagonal, states[:, :, :3], 1.0),
+                 (diagonal, off_diagonal, states[:, :3], 1.0),
                  (diagonal, off_diagonal, states[:1], 1.0),
+                 (diagonal, off_diagonal, states[:, None], 1.0),
                  (diagonal, off_diagonal * np.inf, states, 1.0),
                  (diagonal, off_diagonal, states, -1.0),
                  (diagonal, off_diagonal, states, np.nan),
@@ -487,8 +500,8 @@ def test_chebyshev_route_returns_an_overflowed_member_non_finite():
 def test_chebyshev_route_caps_its_step_count(monkeypatch):
     monkeypatch.setattr(dynamics, "_CHEBYSHEV_MAX_STEPS", 2)
     diagonal = np.array([[1.0 + 0j, -1.0]])  # uncoupled, half-width a = 1
-    states = np.ones((1, 1, 2), dtype=complex)
-    [[at_cap]] = evolve_chebyshev(diagonal, np.zeros((1, 1)), states, 2000.0)  # two steps
+    states = np.ones((1, 2), dtype=complex)
+    [at_cap] = evolve_chebyshev(diagonal, np.zeros((1, 1)), states, 2000.0)  # two steps
     np.testing.assert_allclose(at_cap, np.exp(-2000j * diagonal[0]), rtol=1e-11)
     with pytest.raises(ValueError, match="more than 2 Chebyshev steps"):
         evolve_chebyshev(diagonal, np.zeros((1, 1)), states, np.nextafter(2000.0, np.inf))
@@ -497,7 +510,8 @@ def test_chebyshev_route_caps_its_step_count(monkeypatch):
 @st.composite
 def chain_batches(draw):
     """Bands of 1-5 chains of one length, each with its own v and block (at
-    any place, ends included), and a random block of 1-3 states."""
+    any place, ends included), and 1-3 random states under each: one lane per
+    (chain, state), as the lanes' configs and an (L, n) array of states."""
     n_cells = draw(st.integers(2, 12))
     configs = []
     for _ in range(draw(st.integers(1, 5))):
@@ -508,42 +522,61 @@ def chain_batches(draw):
             region_end=end, u_re=draw(st.floats(-2.0, 2.0)),
             u_im=draw(st.one_of(st.just(0.0), st.floats(-1.5, 1.5)))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (len(configs), draw(st.integers(1, 3)), 2 * n_cells)
-    return configs, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    k = draw(st.integers(1, 3))
+    shape = (len(configs) * k, 2 * n_cells)
+    lanes = [config for config in configs for _ in range(k)]
+    return lanes, rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def unit_states(members, n, site):
-    states = np.zeros((members, 1, n), dtype=complex)
-    states[:, 0, site] = 1.0
+def unit_states(lanes, n, site):
+    states = np.zeros((lanes, n), dtype=complex)
+    states[:, site] = 1.0
     return states
 
 
-# Up to t = 400 a member with v/w near 2.5 takes two steps, and a strong gain
-# site overflows a member, which must still come back as it does alone. The
+# Up to t = 400 a lane with v/w near 2.5 takes two steps, and a strong gain
+# site overflows a lane, which must still come back as it does alone. The
 # first example is a subnormal a t, where the Bessel recurrence's 2k / (a t)
-# overflowed. In the second the first member's lost-digits estimate is 9.2e-11
-# alone; counting terms below its own a tau once the second member's smaller
-# a tau is passed read 1.03e-10 and returned it NaN in the batch.
+# overflowed. In the second the first lane's lost-digits estimate is 9.2e-11
+# alone; counting terms below its own a tau once the second lane's smaller
+# a tau is passed read 1.03e-10 and returned it NaN in the batch. In the
+# third a loss site beside a v = 0 bond damps the first lane to ~1e-131,
+# whose terms are not below unit roundoff times its sum where its table of
+# J_j ends: that raised for the whole batch, and now the lane alone is NaN.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(deadline=None, max_examples=50, derandomize=True)
 @given(batch=chain_batches(), t=st.floats(0.0, 400.0))
 @example(batch=([LatticeConfig(n_cells=2, v=0.0, region_start=1, region_end=1)],
-                np.ones((1, 1, 4), dtype=complex)), t=2.225073858507e-311)
+                np.ones((1, 4), dtype=complex)), t=2.225073858507e-311)
 @example(batch=([LatticeConfig(n_cells=4, v=v, region_start=5, region_end=5, u_re=1.0,
                                u_im=1.0) for v in (1.0, 0.5)], unit_states(2, 8, 6)), t=46.0)
+@example(batch=([LatticeConfig(n_cells=3, v=0.0, region_start=1, region_end=1, u_im=1.5),
+                 LatticeConfig(n_cells=3, v=1.0)], unit_states(2, 6, 0)), t=200.0)
 def test_chebyshev_route_members_match_themselves_alone_and_the_propagator(batch, t):
     configs, states = batch
     diagonal, off_diagonal = map(np.array, zip(*map(hamiltonian_bands, configs)))
     evolved = evolve_chebyshev(diagonal, off_diagonal, states, t)
-    for g, config in enumerate(configs):
-        [alone] = evolve_chebyshev(diagonal[g : g + 1], off_diagonal[g : g + 1],
-                                   states[g : g + 1], t)
-        assert evolved[g].tobytes() == alone.tobytes()
+    for lane, config in enumerate(configs):
+        [alone] = evolve_chebyshev(diagonal[lane : lane + 1], off_diagonal[lane : lane + 1],
+                                   states[lane : lane + 1], t)
+        assert evolved[lane].tobytes() == alone.tobytes()
         if config.u_im == 0.0:
             h = build_hamiltonian(config)
-            propagated = np.array([evolve_propagator(h, psi, [t]).states[0]
-                                   for psi in states[g]])
-            assert relative_error(evolved[g], propagated) <= 1e-10
+            propagated = evolve_propagator(h, states[lane], [t]).states[0]
+            assert relative_error(evolved[lane], propagated) <= 1e-10
+
+
+@pytest.mark.parametrize("ceiling", [dynamics._CHEBYSHEV_ERROR_CEILING, np.inf])
+def test_chebyshev_route_returns_a_lane_that_does_not_converge_nan(ceiling, monkeypatch):
+    # The third example above, whose healthy lane the test above checks. Its
+    # damped lane's terms also cancel; with the lost-digits check off (an
+    # infinite ceiling), the end of its Bessel table alone must give it NaN.
+    monkeypatch.setattr(dynamics, "_CHEBYSHEV_ERROR_CEILING", ceiling)
+    configs = [LatticeConfig(n_cells=3, v=0.0, region_start=1, region_end=1, u_im=1.5),
+               LatticeConfig(n_cells=3, v=1.0)]
+    diagonal, off_diagonal = map(np.array, zip(*map(hamiltonian_bands, configs)))
+    damped, healthy = evolve_chebyshev(diagonal, off_diagonal, unit_states(2, 6, 0), 200.0)
+    assert np.isnan(damped).all() and np.isfinite(healthy).all()
 
 
 def test_forced_propagator_fallback_matches_spectral_route_at_flagship_size(monkeypatch):
@@ -565,6 +598,32 @@ def test_forced_propagator_fallback_matches_spectral_route_at_flagship_size(monk
         error = np.abs(forced[side].states - spectral[side].states).max(axis=1)
         scale = np.abs(spectral[side].states).max(axis=1)
         assert np.all(error <= 1e-10 * scale)
+
+
+# A real exceptional point at flagship size: at v = 0 the two-site block
+# 110-111, u = 0.75 -+ 1.0i, is a dimer with u_im = w, an exact Jordan pair at
+# E = 0.75. Its kappa_1 is 3.4e16, so run_quench takes the propagator with the
+# ceiling as it is, and the Chebyshev route, which needs no eigenbasis, agrees.
+def test_propagator_fallback_runs_unforced_at_a_flagship_size_exceptional_point(monkeypatch):
+    initial = flagship_config(0.25, region=(110, 111), u=(0.75, 1.0))
+    final = initial.with_v(0.0)
+    assert eigendecompose(build_hamiltonian(final)).condition > dynamics.CONDITION_CEILING
+    times = np.array([30.0, 120.0, 500.0])
+    calls = []
+
+    def counting_propagator(*args, **kwargs):
+        calls.append(args[0].shape)
+        return evolve_propagator(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve_propagator", counting_propagator)
+    propagated = run_quench(QuenchSpec(initial, final, tuple(Edge), times))
+    assert calls == [(220, 220)] * 2
+    psi0 = edge_states(build_hamiltonian(initial))
+    block = np.stack([psi0[side] for side in Edge])
+    for k, t in enumerate(times):
+        [chebyshev] = chebyshev_batch([final], block, t)
+        reference = np.stack([propagated[side].states[k] for side in Edge])
+        assert relative_error(chebyshev, reference) <= 1e-10
 
 
 @st.composite

@@ -919,6 +919,19 @@ def test_cli_one_cell_chain_has_no_edge_states_exit_code(scenario, start, end, t
     assert not list(tmp_path.glob("*.csv"))
 
 
+# u = -+i puts an exceptional point of the block's central bond at E = 0, so a
+# block mode joins the two edge modes below the zero-mode tolerance.
+@pytest.mark.parametrize("scenario", ["bipartite", "ratio-sweep"])
+def test_cli_block_mode_at_zero_energy_has_no_edge_states_exit_code(scenario, tmp_path,
+                                                                     capsys):
+    args = ["run", "--scenario", scenario, "--out", str(tmp_path), "--set", "u_re=0",
+            "--set", "u_im=1.0"]
+    assert cli_main(args) == 3
+    err = capsys.readouterr().err
+    assert scenario in err and "edge states need exactly 2 modes with |E| < 0.001, found 4" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("assignment, key", [
     ("t_sample=-1", "t_sample"),
     ("v_grid_stop=0.5", "v_grid_stop"),  # below the ratio sweep's start, 1.0

@@ -109,6 +109,16 @@ def test_eigendecompose_rejects_a_non_square_or_non_finite_matrix():
             eigendecompose(h)
 
 
+def test_eigendecompose_at_an_exact_ep_reports_an_infinite_residual_without_a_warning():
+    # At v = 0 sites 10 and 11 form an isolated dimer, joined by w = 1 and
+    # carrying -+i: an exact Jordan pair at E = 0. The Frobenius norm of
+    # R R^-1 - I overflowed with a RuntimeWarning, which the suite's filter
+    # makes an error.
+    es = eigendecompose(build_hamiltonian(
+        LatticeConfig(n_cells=10, v=0.0, region_start=10, region_end=11, u_im=1.0)))
+    assert es.condition > 1e250 and es.completeness_residual == np.inf
+
+
 def test_eigendecompose_needs_no_svd_and_reports_one_norm_condition(monkeypatch):
     try:  # the module whose globals cond and norm look svd up in
         from numpy.linalg import _linalg as impl  # numpy >= 2
