@@ -5,19 +5,19 @@ biorthogonal eigenbasis (one decomposition, then phases), and repeated
 application of an exact step propagator, a scaled-and-squared truncated
 power series that raises where it misses its tail bound. The second serves
 as the oracle for the first and takes over near exceptional points, where
-the eigenbasis is too ill-conditioned to invert. ``_quench_blocks`` is the
+the eigenbasis is too ill-conditioned to invert. ``_quench_tables`` is the
 one place that chooses between them: it decomposes each Hamiltonian once and
-yields every side's states in blocks of ``_TIME_BLOCK`` samples, so the
-scenarios reduce a block before the next exists; ``run_quench`` and
-``evolve_spectral`` assemble those blocks into whole trajectories. A third
-route, a Chebyshev expansion on the bands of a batch of tridiagonal
-Hamiltonians, evolves a whole sweep grid to one time without any
-eigendecomposition.
+writes a caller's reduction of every side's states, block by block of
+``_TIME_BLOCK`` samples, into one table per side, so the scenarios never hold
+a whole trajectory; ``run_quench`` keeps the states themselves, and
+``evolve_spectral`` concatenates the spectral route's blocks. A third route,
+a Chebyshev expansion on the bands of a batch of tridiagonal Hamiltonians,
+evolves a whole sweep grid to one time without any eigendecomposition.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -193,7 +193,7 @@ def evolve_spectral(
     coefficients are computed once and reused for every requested time.
     """
     times = np.asarray(times, dtype=float)
-    states = _stacked(_spectral_blocks(es, psi0, times), (times.size, es.dim))
+    states = np.concatenate([states for _, states in _spectral_blocks(es, psi0, times)])
     return Trajectory(times=times, states=states)
 
 
@@ -225,17 +225,6 @@ def _spectral_blocks(
         # the block is read.
         phases = es.right_vectors @ phases
         yield rows, phases.T
-
-
-def _stacked(blocks: Iterable[tuple[slice, np.ndarray]], shape: tuple[int, int]) -> np.ndarray:
-    """The (time, site) array of one trajectory's blocks: a lone block as it
-    is, more in a column-major array, the layout of one spectral product."""
-    states = np.empty(shape[::-1], dtype=complex).T
-    for rows, block in blocks:
-        if block.shape == shape:
-            return block
-        states[rows] = block
-    return states
 
 
 def _step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
@@ -519,50 +508,49 @@ def run_quench(
     """Prepare the edge states of the initial Hamiltonian and evolve the
     requested sides under the final one, each Hamiltonian decomposed once.
 
-    The trajectories are ``_quench_blocks``'s, assembled; RuntimeError when
-    a side's state stops being finite (a growing mode overflowed).
+    The trajectories are ``_quench_tables``' states, unreduced; RuntimeError
+    when a side's state stops being finite (a growing mode overflowed).
     """
-    shape = (spec.times.size, spec.final_config.n_sites)
-    return {
-        side: Trajectory(times=spec.times, states=_stacked(blocks, shape))
-        for side, blocks in _quench_blocks(spec, zero_mode_tol)
-    }
+    tables = _quench_tables(spec, lambda states: states, zero_mode_tol)
+    return {side: Trajectory(times=spec.times, states=states) for side, states in tables.items()}
 
 
-def _quench_blocks(
-    spec: QuenchSpec, zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL
-) -> Iterator[tuple[Edge, Iterator[tuple[slice, np.ndarray]]]]:
-    """(side, blocks) for each requested side in turn, its blocks yielding the
-    (rows, states) of its trajectory in time order; read them before the next side.
+def _quench_tables(
+    spec: QuenchSpec,
+    reduce: Callable[[np.ndarray], np.ndarray],
+    zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL,
+) -> dict[Edge, np.ndarray]:
+    """For each requested side, the table whose rows are ``reduce`` of its
+    (time, site) states, row for row, in time order.
 
     The edge states and the final eigenbasis are prepared, and the route
     chosen, once: the spectral route in blocks of _TIME_BLOCK samples, or the
     step propagator as one block when the 1-norm condition of the final
-    eigenbasis exceeds ``CONDITION_CEILING`` (or is not finite). A block is
-    passed on only once it is finite; RuntimeError names the side and the
-    first time at which it is not (a growing mode overflowed).
+    eigenbasis exceeds ``CONDITION_CEILING`` (or is not finite). Each block
+    is reduced into its side's table before the next exists, and only once it
+    is finite; RuntimeError names the side and the first time at which it is
+    not (a growing mode overflowed).
     """
     psi0 = edge_states(build_hamiltonian(spec.initial_config), zero_mode_tol)
     h_final = build_hamiltonian(spec.final_config)
     es = eigendecompose(h_final)
     use_propagator = not es.condition <= CONDITION_CEILING
+    times = spec.times
+    tables: dict[Edge, np.ndarray] = {}
     for side in spec.sides:
         if use_propagator:
-            states = evolve_propagator(h_final, psi0[side], spec.times).states
-            blocks = [(slice(0, spec.times.size), states)]
+            blocks = [(slice(0, times.size), evolve_propagator(h_final, psi0[side], times).states)]
         else:
-            blocks = _spectral_blocks(es, psi0[side], spec.times)
-        yield side, _finite_blocks(blocks, side, spec.times)
-
-
-def _finite_blocks(
-    blocks: Iterable[tuple[slice, np.ndarray]], side: Edge, times: np.ndarray
-) -> Iterator[tuple[slice, np.ndarray]]:
-    for rows, states in blocks:
-        finite = np.isfinite(states).all(axis=1)
-        if not finite.all():
-            t = times[rows][np.argmin(finite)]
-            raise RuntimeError(
-                f"quench evolution of the {side.value} edge state is not finite at t={t:g}"
-            )
-        yield rows, states
+            blocks = _spectral_blocks(es, psi0[side], times)
+        for rows, states in blocks:
+            finite = np.isfinite(states).all(axis=1)
+            if not finite.all():
+                t = times[rows][np.argmin(finite)]
+                raise RuntimeError(
+                    f"quench evolution of the {side.value} edge state is not finite at t={t:g}"
+                )
+            reduced = reduce(states)
+            if side not in tables:
+                tables[side] = np.empty((times.size, *reduced.shape[1:]), reduced.dtype)
+            tables[side][rows] = reduced
+    return tables

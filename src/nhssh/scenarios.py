@@ -8,7 +8,7 @@ reflection-ratio sweeps.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -17,7 +17,7 @@ import numpy as np
 
 # perfbench/test_perfbench.py reads parse_config from here.
 from .config import ScenarioConfig, _grid, parse_config, scenario_lattice, scenario_v_grid
-from .dynamics import Edge, QuenchSpec, _quench_blocks, edge_states, evolve_chebyshev
+from .dynamics import Edge, QuenchSpec, _quench_tables, edge_states, evolve_chebyshev
 from .lattice import build_hamiltonian, hamiltonian_bands
 from .observables import bipartite_norms, default_split, site_density
 from .parallel import _one_blas_thread, thread_count
@@ -171,17 +171,17 @@ def _write_heatmap(
 # ---------------------------------------------------------------------------
 
 def _quench(
-    cfg: ScenarioConfig,
-) -> Iterator[tuple[Edge, Iterator[tuple[slice, np.ndarray]]]]:
-    """Each configured side with the (rows, states) blocks of its trajectory
-    on the scenario time grid (see ``dynamics._quench_blocks``)."""
+    cfg: ScenarioConfig, reduce: Callable[[np.ndarray], np.ndarray]
+) -> dict[Edge, np.ndarray]:
+    """Each configured side's table of ``reduce`` of its states on the scenario
+    time grid, one row per sample (see ``dynamics._quench_tables``)."""
     spec = QuenchSpec(
         initial_config=scenario_lattice(cfg, cfg.v_initial),
         final_config=scenario_lattice(cfg, cfg.v_final),
         sides=tuple(Edge) if cfg.side == "both" else (Edge(cfg.side),),
         times=time_grid(cfg),
     )
-    return _quench_blocks(spec, cfg.zero_mode_tol)
+    return _quench_tables(spec, reduce, cfg.zero_mode_tol)
 
 
 def _run_sweep(cfg: ScenarioConfig, out: Path, *, labeled: bool) -> list[Path]:
@@ -200,11 +200,7 @@ def _run_lightcone(cfg: ScenarioConfig, out: Path) -> list[Path]:
     n = 2 * cfg.n_cells
     # Every side's densities exist before any file is opened, so a state that
     # overflows leaves no output.
-    tables: dict[Edge, np.ndarray] = {}
-    for side, blocks in _quench(cfg):
-        tables[side] = densities = np.empty((times.size, n))
-        for rows, states in blocks:
-            densities[rows] = site_density(states)
+    tables = _quench(cfg, site_density)
     t_labels = np.array([_fmt(t) for t in times.tolist()], dtype=object)
     site_labels = np.array([str(site) for site in range(1, n + 1)], dtype=object)
     columns = {
@@ -225,15 +221,13 @@ def _run_lightcone(cfg: ScenarioConfig, out: Path) -> list[Path]:
 def _run_bipartite(cfg: ScenarioConfig, out: Path) -> list[Path]:
     split = default_split(scenario_lattice(cfg, cfg.v_initial))
     times = time_grid(cfg)
-    sides, norms = [], []
-    for side, blocks in _quench(cfg):
-        sides.append(side)
-        norms.extend(bipartite_norms(states, split) for _, states in blocks)
+    tables = _quench(cfg, lambda states: np.column_stack(bipartite_norms(states, split)))
+    norms = np.concatenate(list(tables.values()))
     columns = {
-        "t": np.tile(times, len(sides)),
-        "rho_left": np.concatenate([rho_left for rho_left, _ in norms]),
-        "rho_right": np.concatenate([rho_right for _, rho_right in norms]),
-        "side_init": [side.value for side in sides for _ in range(times.size)],
+        "t": np.tile(times, len(tables)),
+        "rho_left": norms[:, 0],
+        "rho_right": norms[:, 1],
+        "side_init": [side.value for side in tables for _ in range(times.size)],
     }
     return [_write_table(out / "bipartite.csv", columns)]
 

@@ -19,6 +19,7 @@ from nhssh.dynamics import (
 )
 from nhssh.config import LatticeConfig
 from nhssh.lattice import build_hamiltonian, hamiltonian_bands
+from nhssh.observables import bipartite_norms, default_split, site_density
 from nhssh.spectral import eigendecompose
 
 from conftest import flagship_config
@@ -204,6 +205,51 @@ def test_run_quench_falls_back_to_propagator(monkeypatch):
     force_condition_ceiling(monkeypatch, 1.0)
     forced_fallback = run_quench(spec)[Edge.LEFT]
     assert np.max(np.abs(default_route.densities - forced_fallback.densities)) < 1e-8
+
+
+# 301 samples: two whole blocks of the spectral route and a partial third; the
+# propagator route gives each side as one block.
+@pytest.mark.parametrize("ceiling, propagator_calls", [(None, 0), (0.0, 2)],
+                         ids=["spectral", "propagator"])
+def test_quench_table_rows_are_the_reductions_of_the_whole_states(ceiling, propagator_calls,
+                                                                   monkeypatch):
+    config = small_pt_config(0.25)
+    times = np.arange(0.0, 150.25, 0.5)
+    assert times.size > 2 * dynamics._TIME_BLOCK
+    spec = QuenchSpec(config, config.with_v(1.3), tuple(Edge), times)
+    if ceiling is not None:
+        force_condition_ceiling(monkeypatch, ceiling)
+    calls = []
+
+    def counting_propagator(*args, **kwargs):
+        calls.append(args[0].shape)
+        return evolve_propagator(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve_propagator", counting_propagator)
+    whole = run_quench(spec)
+    assert len(calls) == propagator_calls
+    # The whole states are each route's own, called directly.
+    psi0 = edge_states(build_hamiltonian(config))
+    h_final = build_hamiltonian(spec.final_config)
+    for side in Edge:
+        if propagator_calls:
+            route = evolve_propagator(h_final, psi0[side], times)
+        else:
+            route = evolve_spectral(eigendecompose(h_final), psi0[side], times)
+        assert whole[side].states.tobytes() == route.states.tobytes()
+    split = default_split(config)
+
+    def norms(states):
+        return np.column_stack(bipartite_norms(states, split))
+
+    for reduce in (site_density, norms):
+        tables = dynamics._quench_tables(spec, reduce)
+        assert list(tables) == list(Edge)
+        for side, table in tables.items():
+            reference = reduce(whole[side].states)
+            assert table.shape == reference.shape and table.dtype == reference.dtype
+            assert table.tobytes() == reference.tobytes()
+    assert len(calls) == 3 * propagator_calls
 
 
 def test_flagship_edge_states_real_form_match_complex_route(monkeypatch):

@@ -70,7 +70,7 @@ def test_bipartite_norms_block_equals_per_row_calls(rng):
     h = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
     _, vectors = np.linalg.eig(h)
     phases = np.exp(-1j * np.outer(rng.normal(size=64), np.linspace(0.0, 5.0, 40)))
-    # (time, site) as evolve_spectral returns it: a transposed, column-major view.
+    # (time, site) as `_spectral_blocks` yields it: a transposed, column-major view.
     transposed = (vectors @ phases).T
     split = BipartiteSplit(29)
     for block in (transposed, np.ascontiguousarray(transposed), np.asfortranarray(transposed)):

@@ -267,8 +267,7 @@ def test_lightcone_heatmap_structure(tmp_path):
 def test_flagship_heatmap_pixels_are_bitwise_the_out_of_place_expression(tmp_path):
     cfg = ScenarioConfig(scenario="lightcone", output_dir=str(tmp_path))
     times = time_grid(cfg)
-    for side, blocks in scenarios._quench(cfg):
-        densities = np.concatenate([np.abs(states) ** 2 for _, states in blocks])
+    for side, densities in scenarios._quench(cfg, lambda s: np.abs(s) ** 2).items():
         pgm = tmp_path / f"{side.value}.pgm"
         # _write_heatmap turns the table it is given into pixels.
         scenarios._write_heatmap(pgm, tmp_path / f"{side.value}.txt", times, densities.copy())
@@ -781,6 +780,20 @@ def test_cli_linalg_error_exit_code(tmp_path, capsys, monkeypatch):
     assert cli_main(tiny_args("lightcone", tmp_path)) == 3
     err = capsys.readouterr().err
     assert "lightcone" in err and "did not converge" in err
+
+
+def test_cli_memory_error_exit_code(tmp_path, capsys, monkeypatch):
+    # A valid config can ask for more memory than there is (n_cells=1000000
+    # asks build_hamiltonian for 58 TiB); whether such an allocation fails at
+    # once depends on the machine, so the failure is raised here instead.
+    def out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 58.2 TiB")
+
+    monkeypatch.setattr(scenarios, "run_scenario", out_of_memory)
+    assert cli_main(tiny_args("bipartite", tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error in scenario 'bipartite':"), err
+    assert "Unable to allocate" in err and "Traceback" not in err
 
 
 def test_cli_propagator_series_failure_exit_code(tmp_path, capsys, monkeypatch):
