@@ -8,8 +8,7 @@ reflection-ratio sweeps.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from pathlib import Path
 
@@ -43,77 +42,70 @@ def time_grid(cfg: ScenarioConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # 12 significant digits keeps golden files stable across reruns.
-_FLOAT_FORMAT = ".12g"
-# Rows that _write_table turns into Python values and text at one time.
-_TABLE_CHUNK_ROWS = 4096
-
-
 def _fmt(x: float) -> str:
-    return format(float(x), _FLOAT_FORMAT)
+    return format(float(x), ".12g")
 
 
-def _write_table(path: Path, columns: dict[str, Sequence]) -> Path:
-    """CSV whose header is the keys of ``columns`` and whose rows zip their values.
+# Rows of Python values and text that one block of a table holds.
+_BLOCK_ROWS = 4096
 
-    Each column holds one kind of value, read from its first entry: floats
-    (numpy's too) print with ``_FLOAT_FORMAT``, anything else through ``str``.
-    """
-    row = ",".join(
-        "%" + _FLOAT_FORMAT if len(c) and isinstance(c[0], float) else "%s"
-        for c in columns.values()
-    ) + "\n"
-    width = len(columns)
-    rows = len(next(iter(columns.values())))
-    # Python values and text exist for one chunk of rows at a time, which goes
-    # to the file before the next is built; one % call formats the chunk, its
-    # columns interleaved row by row into one flat argument list.
+
+def _write_table(path: Path, header: str, blocks: Iterable[tuple[str, list]]) -> Path:
+    """CSV of the line ``header``, then ``row_format % tuple(values)`` for each
+    ``(row_format, values)`` block, written before the next block is built."""
     with path.open("wb") as f:
-        f.write((",".join(columns) + "\n").encode("ascii"))
-        for start in range(0, rows, _TABLE_CHUNK_ROWS):
-            count = min(_TABLE_CHUNK_ROWS, rows - start)
-            flat = [None] * (width * count)
-            for j, column in enumerate(columns.values()):
-                cells = column[start : start + count]
-                flat[j::width] = cells.tolist() if isinstance(cells, np.ndarray) else cells
-            f.write(((row * count) % tuple(flat)).encode("ascii"))
+        f.write(f"{header}\n".encode("ascii"))
+        for row_format, values in blocks:
+            f.write((row_format % tuple(values)).encode("ascii"))
     return path
 
 
-@dataclass(frozen=True)
-class _TiledLabels(Sequence):
-    """A text column of ``rows`` cells, row i holding
-    ``labels[i // repeat % labels.size]``, each slice built when it is read."""
+def _values(columns: Sequence[Sequence], rows: slice) -> list:
+    """The cells of ``rows`` of ``columns`` as Python values, row by row and
+    each row's cells in column order; the columns share their shape."""
+    return np.stack(
+        [np.array(column[rows], dtype=object) for column in columns], axis=-1
+    ).ravel().tolist()
 
-    labels: np.ndarray  # of str objects
-    repeat: int
-    rows: int
 
-    def __len__(self) -> int:
-        return self.rows
+def _flat_rows(fields: str, *columns: Sequence) -> Iterator[tuple[str, list]]:
+    """``_write_table`` blocks of up to ``_BLOCK_ROWS`` rows: row i is
+    ``fields``, one ``%`` field per column, of the columns' i-th entries."""
+    total = len(columns[0])
+    for start in range(0, total, _BLOCK_ROWS):
+        count = min(_BLOCK_ROWS, total - start)
+        yield (fields + "\n") * count, _values(columns, slice(start, start + count))
 
-    def __getitem__(self, index):
-        rows = range(self.rows)[index]
-        if isinstance(rows, range):
-            rows = np.arange(rows.start, rows.stop, rows.step)
-        return self.labels[rows // self.repeat % self.labels.size]
+
+def _grid_rows(
+    labels: Sequence[str], inner: Sequence, fields: str, *columns: np.ndarray
+) -> Iterator[tuple[str, list]]:
+    """``_write_table`` blocks of the rows ``label,inner,fields`` for each label,
+    then each inner value, ``fields`` of the (label, inner) cells of the
+    (len(labels), len(inner)) ``columns``.
+
+    The labels and inner values go into the row formats as text, so they hold
+    no ``%``. A block holds the rows of as many labels as fit in
+    ``_BLOCK_ROWS``, or of one label.
+    """
+    pieces = ["", *(f",{i},{fields}\n" for i in inner)]
+    per_block = max(1, _BLOCK_ROWS // len(inner))
+    for start in range(0, len(labels), per_block):
+        rows = slice(start, start + per_block)
+        yield "".join(label.join(pieces) for label in labels[rows]), _values(columns, rows)
 
 
 def _write_sweep(path: Path, sweep: Sweep, branch: np.ndarray | None = None) -> Path:
     """One row per (grid point, eigenvalue); a branch column only with labels."""
-    points, n = sweep.eigenvalues.shape
-    v_labels = np.array([_fmt(v) for v in sweep.v_over_w.tolist()], dtype=object)
-    index_labels = np.array([str(i) for i in range(n)], dtype=object)
-    columns = {
-        "v_over_w": _TiledLabels(v_labels, n, points * n),
-        "index": _TiledLabels(index_labels, 1, points * n),
-    }
+    sides = np.array([[side.value for side in row] for row in sweep.side.tolist()], dtype=object)
+    columns = [sweep.eigenvalues.real, sweep.eigenvalues.imag, sweep.com, sides]
+    header, fields = "re_e,im_e,com,side", "%.12g,%.12g,%.12g,%s"
     if branch is not None:
-        columns["branch"] = branch.ravel()
-    columns["re_e"] = sweep.eigenvalues.real.ravel()
-    columns["im_e"] = sweep.eigenvalues.imag.ravel()
-    columns["com"] = sweep.com.ravel()
-    columns["side"] = [side.value for side in sweep.side.ravel().tolist()]
-    return _write_table(path, columns)
+        columns.insert(0, branch)
+        header, fields = "branch," + header, "%s," + fields
+    labels = [_fmt(v) for v in sweep.v_over_w.tolist()]
+    blocks = _grid_rows(labels, range(sweep.eigenvalues.shape[1]), fields, *columns)
+    return _write_table(path, "v_over_w,index," + header, blocks)
 
 
 def _clamp(densities: np.ndarray) -> float:
@@ -197,21 +189,15 @@ def _run_sweep(cfg: ScenarioConfig, out: Path, *, labeled: bool) -> list[Path]:
 
 def _run_lightcone(cfg: ScenarioConfig, out: Path) -> list[Path]:
     times = time_grid(cfg)
-    n = 2 * cfg.n_cells
     # Every side's densities exist before any file is opened, so a state that
     # overflows leaves no output.
     tables = _quench(cfg, site_density)
-    t_labels = np.array([_fmt(t) for t in times.tolist()], dtype=object)
-    site_labels = np.array([str(site) for site in range(1, n + 1)], dtype=object)
-    columns = {
-        "t": _TiledLabels(t_labels, n, times.size * n),
-        "site": _TiledLabels(site_labels, 1, times.size * n),
-    }
+    t_labels = [_fmt(t) for t in times.tolist()]
     outputs: list[Path] = []
     for side, densities in tables.items():
         name = f"lightcone_{side.value}"
-        columns["density"] = densities.ravel()
-        outputs.append(_write_table(out / f"{name}.csv", columns))
+        blocks = _grid_rows(t_labels, range(1, densities.shape[1] + 1), "%.12g", densities)
+        outputs.append(_write_table(out / f"{name}.csv", "t,site,density", blocks))
         outputs.extend(_write_heatmap(
             out / f"{name}.pgm", out / f"{name}_clamp.txt", times, densities
         ))
@@ -222,14 +208,11 @@ def _run_bipartite(cfg: ScenarioConfig, out: Path) -> list[Path]:
     split = default_split(scenario_lattice(cfg, cfg.v_initial))
     times = time_grid(cfg)
     tables = _quench(cfg, lambda states: np.column_stack(bipartite_norms(states, split)))
-    norms = np.concatenate(list(tables.values()))
-    columns = {
-        "t": np.tile(times, len(tables)),
-        "rho_left": norms[:, 0],
-        "rho_right": norms[:, 1],
-        "side_init": [side.value for side in tables for _ in range(times.size)],
-    }
-    return [_write_table(out / "bipartite.csv", columns)]
+    blocks = (
+        block for side, norms in tables.items()
+        for block in _flat_rows(f"%.12g,%.12g,%.12g,{side.value}", times, *norms.T)
+    )
+    return [_write_table(out / "bipartite.csv", "t,rho_left,rho_right,side_init", blocks)]
 
 
 def compute_ratio_sweep(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
@@ -299,7 +282,9 @@ def ratio_crossing(v_values: Sequence[float], ratios: Sequence[float]) -> float 
 
 
 def _run_ratio_sweep(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    return [_write_table(out / "ratio_sweep.csv", compute_ratio_sweep(cfg))]
+    table = compute_ratio_sweep(cfg)
+    blocks = _flat_rows(",".join(["%.12g"] * len(table)), *table.values())
+    return [_write_table(out / "ratio_sweep.csv", ",".join(table), blocks)]
 
 
 _RUNNERS = {

@@ -695,7 +695,12 @@ def edge_state_quenches(draw):
 # (gamma = 0.73) puts the floor at 1.8e-7: the spectral and propagator routes
 # are 7e-9 and 8e-9 off a 50-digit reference and 1.1e-8 apart, so it asserts
 # nothing. In the second (floor 9e-15), a Chebyshev centre at the midpoint of
-# [min Im d, max Im d] gives a finite state 1.0e-8 off.
+# [min Im d, max Im d] gives a finite state 1.0e-8 off. Before the floor is
+# read, run_quench must return the state of the route its kappa_1 rule
+# chooses, bit for bit: the spectral route where kappa_1 <= CONDITION_CEILING,
+# the propagator otherwise. The third example is an exact EP, the block 6-7
+# isolated at v = 0 as a dimer with u_im = w, where kappa_1 = 3.4e16 sends it
+# to the propagator.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(deadline=None, max_examples=200, derandomize=True)
 @given(quench=edge_state_quenches(), t=st.floats(0.0, 150.0))
@@ -704,6 +709,11 @@ def edge_state_quenches(draw):
 @example(quench=(LatticeConfig(n_cells=5, v=0.25, region_start=2, region_end=2, u_im=1.0),
                  LatticeConfig(n_cells=5, v=0.0, region_start=2, region_end=2, u_im=1.0)),
          t=25.0)
+@example(quench=(LatticeConfig(n_cells=6, v=0.25, region_start=6, region_end=7, u_re=0.75,
+                               u_im=1.0),
+                 LatticeConfig(n_cells=6, v=0.0, region_start=6, region_end=7, u_re=0.75,
+                               u_im=1.0)),
+         t=30.0)
 def test_no_route_returns_a_wrong_finite_state(quench, t):
     initial, final = quench
     try:
@@ -714,11 +724,15 @@ def test_no_route_returns_a_wrong_finite_state(quench, t):
     h = build_hamiltonian(final)
     propagated = np.array([evolve_propagator(h, psi, [t]).states[0] for psi in block])
     es = eigendecompose(h)
+    spectral = spectral_at(es, block, t) if es.condition <= dynamics.CONDITION_CEILING else None
+    routed = run_quench(QuenchSpec(initial, final, tuple(Edge), [t]))
+    routed = np.stack([routed[side].states[0] for side in Edge])
+    assert routed.tobytes() == (propagated if spectral is None else spectral).tobytes()
     gamma = max(0.0, es.eigenvalues.imag.max())
     floor = (np.finfo(float).eps / 2.0 * h.shape[0] * es.condition * np.exp(gamma * t)
              / np.max(np.abs(propagated)))
     assume(floor <= 1e-8)
-    if es.condition <= dynamics.CONDITION_CEILING:
-        assert relative_error(spectral_at(es, block, t), propagated) <= 1e-8
+    if spectral is not None:
+        assert relative_error(spectral, propagated) <= 1e-8
     [chebyshev] = chebyshev_batch([final], block, t)
     assert not np.isfinite(chebyshev).all() or relative_error(chebyshev, propagated) <= 1e-8

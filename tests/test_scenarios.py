@@ -334,7 +334,8 @@ def test_write_table_streams_the_bytes_of_one_joined_text(tmp_path):
     path = tmp_path / "table.csv"
     tracemalloc.start()
     try:
-        scenarios._write_table(path, columns)
+        scenarios._write_table(path, "x,k,side",
+                               scenarios._flat_rows("%.12g,%s,%s", *columns.values()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -374,7 +375,32 @@ def test_write_table_writes_the_bytes_of_a_per_row_format_reference(
         f"{format(a, '.12g')},{str(b)},{str(c)}\n" for a, b, c in zip(x, k, side)
     )
     path = tmp_path_factory.mktemp("table") / "table.csv"
-    scenarios._write_table(path, columns)
+    scenarios._write_table(path, "x,k,side",
+                           scenarios._flat_rows("%.12g,%s,%s", *columns.values()))
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+# 5 labels of 1000 rows fill one block with 4 and the next with 1; 4097 rows
+# take a block to themselves.
+@pytest.mark.parametrize("labels, inner", [(0, 3), (1, 1), (5, 1000), (3, 4097)])
+def test_grid_rows_write_the_bytes_of_a_per_row_format_reference(tmp_path, labels, inner):
+    rows = labels * inner
+    label_text = [format(x, ".12g") for x in _AWKWARD_FLOATS[:labels]]
+    sites = range(-1, inner - 1)
+    x = np.resize(np.array(_AWKWARD_FLOATS), rows).reshape(labels, inner)
+    k = np.arange(rows, dtype=np.int64).reshape(labels, inner) - 2**62
+    side = np.resize(np.array(["left", "", "right"], dtype=object), rows).reshape(labels, inner)
+    expected = "x,site,a,k,side\n" + "".join(
+        f"{label_text[g]},{site},{format(x[g, j], '.12g')},{k[g, j]},{side[g, j]}\n"
+        for g in range(labels) for j, site in enumerate(sites)
+    )
+    blocks = list(scenarios._grid_rows(label_text, sites, "%.12g,%s,%s", x, k, side))
+    for row_format, values in blocks:
+        count = row_format.count("\n")
+        assert count <= max(scenarios._BLOCK_ROWS, inner)
+        assert len(values) == 3 * count
+    path = tmp_path / "grid.csv"
+    scenarios._write_table(path, "x,site,a,k,side", blocks)
     assert path.read_bytes() == expected.encode("ascii")
 
 
