@@ -1,10 +1,11 @@
 """Command line interface: run named scenarios and validate config files.
 
 Exit codes: 0 success, 2 config problem (a config file that cannot be read
-as UTF-8, parse or validation, including an NHSSH_THREADS value that is not a
-positive integer), 3 simulation failure (missing edge state, a propagator
-step whose series misses its tail bound, a ratio-sweep weight that overflowed
-or lost its digits, an array too large to allocate, unwritable output).
+as UTF-8, parse or validation of the keys the scenario reads, a --set of a key
+it does not read, an NHSSH_THREADS value that is not a positive integer), 3
+simulation failure (missing edge state, a propagator step whose series misses
+its tail bound, a ratio-sweep weight that overflowed or lost its digits, an
+array too large to allocate, unwritable output).
 
 Importing this module before numpy, as the ``nhssh`` script does, sets
 OPENBLAS_NUM_THREADS=1 in the process environment when it is unset; an import
@@ -27,10 +28,11 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import (  # noqa: E402
+    SCENARIO_KEYS,
     SCENARIOS,
     ConfigError,
     ScenarioConfig,
-    parse_config,
+    _parse_lines,
     parse_overrides,
 )
 from .parallel import thread_count  # noqa: E402
@@ -62,37 +64,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> ScenarioConfig:
+def _load_config(args: argparse.Namespace) -> tuple[ScenarioConfig, list[str]]:
     """The config file's config with --scenario, --set and --out applied in one
-    step, each beating the one before, so only the final config must be valid.
-    Raises ConfigError, also for a bad NHSSH_THREADS."""
+    step, each beating the one before, so only the final config must be valid,
+    and the file's keys its scenario does not read. Raises ConfigError, also
+    for a --set of such a key and for a bad NHSSH_THREADS."""
+    settings: dict[str, object] = {}
     if args.config is not None:
         try:
             text = args.config.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        cfg = parse_config(text)
-    else:
-        cfg = ScenarioConfig()
+        settings = _parse_lines(text)
+    cfg = ScenarioConfig(**settings)
     changes: dict[str, object] = {}
     if getattr(args, "scenario", None) is not None:
         changes["scenario"] = args.scenario
-    changes.update(parse_overrides(getattr(args, "overrides", [])))
+    overrides = parse_overrides(getattr(args, "overrides", []))
+    changes.update(overrides)
     if getattr(args, "out", None) is not None:
         changes["output_dir"] = str(args.out)
-    if changes:
-        cfg = replace(cfg, **changes)
+    cfg = replace(cfg, **changes)
+    keys = SCENARIO_KEYS[cfg.scenario]
+    if unread := [key for key in overrides if key not in keys]:
+        raise ConfigError(f"scenario {cfg.scenario} does not read --set {', '.join(unread)}")
     try:
         thread_count()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg
+    return cfg, [key for key in settings if key not in keys]
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
+        cfg, unread = _load_config(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -104,7 +110,8 @@ def main(argv: list[str] | None = None) -> int:
             region = f"{cfg.region_start}..{cfg.region_end}"
         print(f"ok: scenario={cfg.scenario}, {2 * cfg.n_cells} sites, "
               f"region={region}, u=({cfg.u_re:g}, {cfg.u_im:g}), "
-              f"v_initial/w={cfg.v_initial:g}")
+              f"v_initial/w={cfg.v_initial:g}"
+              + (f"; not read by {cfg.scenario}: {', '.join(unread)}" if unread else ""))
         return 0
 
     from .scenarios import run_scenario

@@ -18,6 +18,7 @@ __all__ = [
     "LatticeConfig",
     "ScenarioConfig",
     "SCENARIOS",
+    "SCENARIO_KEYS",
     "parse_config",
     "parse_overrides",
     "apply_overrides",
@@ -27,15 +28,28 @@ __all__ = [
     "DEFAULT_SIDE_THRESHOLD",
 ]
 
-# The scenario names, in the order of scenarios._RUNNERS.
-SCENARIOS = ("spectrum", "lightcone", "bipartite", "ratio-sweep", "reshuffle")
+# The keys each scenario reads, in the order of scenarios._RUNNERS: all read
+# the chain and where to write. ScenarioConfig checks only these, and the CLI
+# refuses a --set of any other.
+_CHAIN_KEYS = "scenario n_cells w region_start region_end u_re u_im output_dir "
+SCENARIO_KEYS = {
+    scenario: frozenset((_CHAIN_KEYS + keys).split()) for scenario, keys in (
+        ("spectrum", "v_grid_start v_grid_stop v_grid_step threshold"),
+        ("lightcone", "v_initial v_final side t_max dt zero_mode_tol"),
+        ("bipartite", "v_initial v_final side t_max dt zero_mode_tol"),
+        ("ratio-sweep", "v_initial v_grid_start v_grid_stop v_grid_step t_sample zero_mode_tol"),
+        ("reshuffle", "v_grid_start v_grid_stop v_grid_step threshold"),
+    )
+}
+SCENARIOS = tuple(SCENARIO_KEYS)
 DEFAULT_ZERO_MODE_TOL = 1e-3
 DEFAULT_SIDE_THRESHOLD = 0.5
 
 # The most points a config's v/w or time grid may have: three orders above the
 # largest default grid, 1001 time samples.
 _MAX_GRID_POINTS = 10**6
-# Per-scenario (start, stop, step) defaults for the v/w grid.
+# Per-scenario (start, stop, step) defaults for the v/w grid, and its keys.
+_GRID_KEYS = ("v_grid_start", "v_grid_stop", "v_grid_step")
 _GRID_DEFAULTS = {
     "spectrum": (0.1, 2.0, 0.01),
     "ratio-sweep": (1.0, 2.0, 0.025),
@@ -67,21 +81,21 @@ class LatticeConfig:
 
     def __post_init__(self) -> None:
         if self.n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
+            raise ConfigError(f"n_cells must be >= 1, got {self.n_cells}")
         if self.v < 0:
-            raise ValueError(f"v must be >= 0, got {self.v}")
+            raise ConfigError(f"v must be >= 0, got {self.v}")
         if self.w <= 0:
-            raise ValueError(f"w must be > 0, got {self.w}")
+            raise ConfigError(f"w must be > 0, got {self.w}")
         if (self.region_start is None) != (self.region_end is None):
-            raise ValueError("region_start and region_end must be set together")
+            raise ConfigError("region_start and region_end must be set together")
         if self.region_start is not None and self.region_end is not None:
             if not 1 <= self.region_start <= self.region_end:
-                raise ValueError(
+                raise ConfigError(
                     "region_start must satisfy 1 <= region_start <= region_end, "
                     f"got region_start={self.region_start}, region_end={self.region_end}"
                 )
             if self.region_end > self.n_sites:
-                raise ValueError(
+                raise ConfigError(
                     f"region_end must be <= 2*n_cells = {self.n_sites}, "
                     f"got region_end={self.region_end}"
                 )
@@ -106,7 +120,8 @@ class ScenarioConfig:
     """Complete scenario description; every field has a runnable default.
 
     A config that cannot run cannot be made: construction, ``replace``
-    included, raises ConfigError naming the offending key.
+    included, raises ConfigError naming the offending key. Only the keys its
+    scenario reads (``SCENARIO_KEYS``) are checked; the others change nothing.
     """
 
     scenario: str = "spectrum"
@@ -133,44 +148,25 @@ class ScenarioConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(
-                f"scenario must be one of {', '.join(SCENARIOS)}, got {self.scenario!r}"
-            )
-        if self.side not in ("left", "right", "both"):
-            raise ConfigError(f"side must be left, right, or both, got {self.side!r}")
-        for key, kind in _KEY_TYPES.items():
-            value = getattr(self, key)
-            if kind.startswith("float") and value is not None and not math.isfinite(value):
+        # An unknown scenario reads one key, whose rule refuses it.
+        keys = SCENARIO_KEYS.get(self.scenario, {"scenario"})
+        values = {key: getattr(self, key) for key in _KEY_TYPES if key in keys}
+        spans = {"dt": (0.0, self.t_max, self.dt)} if "dt" in keys else {}
+        if "v_grid_step" in keys:
+            spans["v_grid_step"] = _resolved_grid(self)
+            values.update(zip(_GRID_KEYS, spans["v_grid_step"]))
+        for key, value in values.items():
+            if _KEY_TYPES[key].startswith("float") and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
-        for key, value in (("v_initial", self.v_initial), ("v_final", self.v_final)):
-            if value < 0:
-                raise ConfigError(f"{key} must be >= 0, got {value}")
-        for key, value in (
-            ("dt", self.dt),
-            ("t_max", self.t_max),
-            ("zero_mode_tol", self.zero_mode_tol),
-            ("threshold", self.threshold),
-        ):
-            if value <= 0:
-                raise ConfigError(f"{key} must be > 0, got {value}")
-        if self.t_sample < 0:
-            raise ConfigError(f"t_sample must be >= 0, got {self.t_sample}")
-        start, stop, step = _resolved_grid(self)
-        if start < 0:
-            raise ConfigError(f"v_grid_start must be >= 0, got {start}")
-        if step <= 0:
-            raise ConfigError(f"v_grid_step must be > 0, got {step}")
-        if stop < start:
-            raise ConfigError(
-                f"v_grid_stop must be >= v_grid_start, got {start}..{stop}"
-            )
+            if key in _RULES and not _RULES[key][1](value):
+                raise ConfigError(f"{key} must be {_RULES[key][0]}, got {value!r}")
+        if "v_grid_step" in keys and values["v_grid_stop"] < values["v_grid_start"]:
+            raise ConfigError("v_grid_stop must be >= v_grid_start, got "
+                              f"{values['v_grid_start']}..{values['v_grid_stop']}")
         # A point start + k*step carries at most two roundings (product, sum),
         # each within half an ulp of the last point, so a step above two ulps
         # of the last point keeps every point above the one before.
-        for key, (start, stop, step) in (
-            ("v_grid_step", (start, stop, step)), ("dt", (0.0, self.t_max, self.dt))
-        ):
+        for key, (start, stop, step) in spans.items():
             count = _grid_count(start, stop, step)
             if count > _MAX_GRID_POINTS:
                 raise ConfigError(f"{key} must give at most {_MAX_GRID_POINTS} grid "
@@ -178,16 +174,23 @@ class ScenarioConfig:
             if count > 1 and step <= 2 * math.ulp(start + (count - 1) * step):
                 raise ConfigError(f"{key} must exceed twice the float spacing at the "
                                   f"last grid point, got {step} for {start}..{stop}")
-        try:
-            scenario_lattice(self, self.v_initial)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        scenario_lattice(self, 0.0)
 
 
 # Each key's annotation as written ("int", "float | None", "str", ...): the
 # one statement of its type, read by the parser and the finiteness check.
 _KEY_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 _PARSERS = {"int": int, "float": float, "str": str}
+# What a key must be, as (requirement, test), where its scenario reads it. The
+# v/w grid keys are tested at their resolved values; every float must be finite.
+_AT_LEAST_ZERO = (">= 0", lambda value: value >= 0)
+_ABOVE_ZERO = ("> 0", lambda value: value > 0)
+_RULES = {
+    "scenario": (f"one of {', '.join(SCENARIOS)}", lambda value: value in SCENARIO_KEYS),
+    "side": ("left, right, or both", lambda value: value in ("left", "right", "both")),
+    **dict.fromkeys(("v_initial", "v_final", "t_sample", "v_grid_start"), _AT_LEAST_ZERO),
+    **dict.fromkeys(("t_max", "dt", "zero_mode_tol", "threshold", "v_grid_step"), _ABOVE_ZERO),
+}
 
 
 def _coerce(key: str, raw: str, where: str):
@@ -211,16 +214,21 @@ def _parse_assignment(line: str, where: str) -> tuple[str, object]:
     return key, _coerce(key, raw, where)
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse ``key = value`` lines (with ``#`` comments) into a config."""
-    overrides: dict[str, object] = {}
+def _parse_lines(text: str) -> dict[str, object]:
+    """Typed values of ``key = value`` lines (with ``#`` comments), last wins."""
+    settings: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         key, value = _parse_assignment(stripped, f"line {lineno}")
-        overrides[key] = value
-    return ScenarioConfig(**overrides)
+        settings[key] = value
+    return settings
+
+
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse ``key = value`` lines (with ``#`` comments) into a config."""
+    return ScenarioConfig(**_parse_lines(text))
 
 
 def parse_overrides(assignments: list[str]) -> dict[str, object]:
@@ -247,12 +255,8 @@ def scenario_lattice(cfg: ScenarioConfig, v_over_w: float) -> LatticeConfig:
 
 
 def _resolved_grid(cfg: ScenarioConfig) -> tuple[float, float, float]:
-    d_start, d_stop, d_step = _GRID_DEFAULTS.get(cfg.scenario, (1.0, 2.0, 0.025))
-    return (
-        cfg.v_grid_start if cfg.v_grid_start is not None else d_start,
-        cfg.v_grid_stop if cfg.v_grid_stop is not None else d_stop,
-        cfg.v_grid_step if cfg.v_grid_step is not None else d_step,
-    )
+    return tuple(default if getattr(cfg, key) is None else getattr(cfg, key)
+                 for key, default in zip(_GRID_KEYS, _GRID_DEFAULTS[cfg.scenario]))
 
 
 def _grid_count(start: float, stop: float, step: float) -> float:
@@ -267,5 +271,5 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
 
 
 def scenario_v_grid(cfg: ScenarioConfig) -> list[float]:
-    """The v/w grid for sweep scenarios, built as start + k*step."""
+    """The v/w grid of a scenario that reads one, built as start + k*step."""
     return _grid(*_resolved_grid(cfg))

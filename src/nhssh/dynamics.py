@@ -112,17 +112,17 @@ class QuenchSpec:
         object.__setattr__(self, "times", _checked_times(self.times))
 
 
-def _checked_times(times: np.ndarray) -> np.ndarray:
-    """times as floats, if they are a sample grid: nonempty, finite, starting
-    at t >= 0 and strictly increasing; ValueError otherwise."""
-    times = np.asarray(times, dtype=float)
+def _checked_times(times: np.ndarray, grid: bool = True) -> np.ndarray:
+    """times as a 1-D float array if they are nonempty and finite and, for a
+    sample ``grid``, start at t >= 0 and strictly increase; ValueError otherwise."""
+    times = np.ravel(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("times must be nonempty")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    if times[0] < 0:
+    if grid and times[0] < 0:
         raise ValueError("times must start at t >= 0")
-    if np.any(np.diff(times) <= 0):
+    if grid and np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     return times
 
@@ -190,9 +190,10 @@ def evolve_spectral(
     """Evolve by expanding psi0 in the biorthogonal basis.
 
     psi(t) = sum_n <phi_n|psi0> exp(-i E_n t) |psi_n>; the expansion
-    coefficients are computed once and reused for every requested time.
+    coefficients are computed once and reused for every requested time. Any
+    nonempty, finite times, flattened to 1-D, in any order and of any sign.
     """
-    times = np.asarray(times, dtype=float)
+    times = _checked_times(times, grid=False)
     states = np.concatenate([states for _, states in _spectral_blocks(es, psi0, times)])
     return Trajectory(times=times, states=states)
 
@@ -210,7 +211,6 @@ def _spectral_blocks(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (es.dim,):
         raise ValueError(f"psi0 has shape {psi0.shape}, expected ({es.dim},)")
-    times = np.ravel(times)
     coeff = es.left_vectors.conj().T @ psi0
     for start in range(0, times.size, _TIME_BLOCK):
         rows = slice(start, min(start + _TIME_BLOCK, times.size))

@@ -177,9 +177,10 @@ def _quench(
 
 
 def _run_sweep(cfg: ScenarioConfig, out: Path, *, labeled: bool) -> list[Path]:
+    grid = scenario_v_grid(cfg)
     sweep = spectrum_sweep(
-        scenario_lattice(cfg, cfg.v_initial),
-        scenario_v_grid(cfg),
+        scenario_lattice(cfg, grid[0]),
+        grid,
         threshold=cfg.threshold,
         threads=thread_count(),
     )

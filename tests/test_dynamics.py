@@ -94,6 +94,20 @@ def test_spectral_evolution_returns_initial_state_at_t_zero():
     tol = max(1e-12, 10 * es.completeness_residual)
     np.testing.assert_allclose(traj.states[0], psi0, atol=tol)
 
+    # Times are taken flat, in any order and of any sign: the state at t = -1.5
+    # evolves back to psi0 in 1.5.
+    times = np.array([[2.0, -1.5], [0.0, 7.5]])
+    traj = evolve_spectral(es, psi0, times)
+    assert traj.times.shape == (4,) and traj.states.shape == (4, psi0.size)
+    for t, state in zip(times.ravel(), traj.states):
+        np.testing.assert_allclose(state, evolve_spectral(es, psi0, [t]).states[0],
+                                   rtol=0, atol=1e-12)
+    np.testing.assert_allclose(evolve_propagator(h, traj.states[1], [1.5]).states[0], psi0,
+                               atol=tol)
+    for times, message in (([], "nonempty"), ([np.nan], "finite"), ([1.0, np.inf], "finite")):
+        with pytest.raises(ValueError, match=f"times must be {message}"):
+            evolve_spectral(es, psi0, times)
+
 
 def test_hermitian_evolution_conserves_norm():
     config = LatticeConfig(n_cells=20, v=1.4)

@@ -86,6 +86,19 @@ def test_cli_validate_leaves_numpy_unloaded(tmp_path):
         "code 0 False", "code 2 False"]
 
 
+def test_cli_refuses_a_set_of_an_unread_key_before_numpy_loads(tmp_path):
+    out = tmp_path / "out"
+    probe = (
+        "import sys\n"
+        "from nhssh.cli import main\n"
+        "code = main(['run', '--scenario', 'ratio-sweep', '--set', 'side=left',\n"
+        "             '--out', sys.argv[1]])\n"
+        "print('code', code, 'numpy' in sys.modules)\n"
+    )
+    assert python(["-c", probe, str(out)]).split()[-3:] == ["code", "2", "False"]
+    assert not out.exists()
+
+
 def test_cli_import_after_numpy_leaves_the_environment():
     """Once numpy has loaded OpenBLAS, a default would reach only children."""
     probe = IMPORT_PROBE.format(module="nhssh.cli").replace(

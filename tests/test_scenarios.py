@@ -1,7 +1,7 @@
 import filecmp
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from nhssh import config, dynamics, scenarios
 from nhssh.cli import main as cli_main
 from nhssh.config import (
+    SCENARIO_KEYS,
     ConfigError,
     ScenarioConfig,
     apply_overrides,
@@ -119,15 +120,17 @@ def test_region_none_gives_pure_chain():
     ("v_grid_step = -0.1", "v_grid_step"),
 ])
 def test_field_validation(line, key):
+    # Each key is checked by a scenario that reads it.
+    scenario = "spectrum" if key in SCENARIO_KEYS["spectrum"] else "lightcone"
     with pytest.raises(ConfigError, match=key):
-        parse_config(line + "\n")
+        parse_config(f"scenario = {scenario}\n{line}\n")
 
 
 def test_config_is_valid_by_construction():
     with pytest.raises(ConfigError, match="dt"):
-        ScenarioConfig(dt=0)
+        ScenarioConfig(scenario="lightcone", dt=0)
     with pytest.raises(ConfigError, match="side"):
-        replace(ScenarioConfig(), side="up")
+        replace(ScenarioConfig(scenario="lightcone"), side="up")
 
 
 def test_apply_overrides_matches_file_parsing():
@@ -454,6 +457,29 @@ def test_scenarios_are_deterministic(tmp_path):
             assert filecmp.cmp(fa, fb, shallow=False), fa.name
 
 
+# A valid value, other than TINY's or the default, for each key that some
+# scenario does not read.
+UNREAD_VALUES = dict(v_initial=0.2, v_final=1.2, side="left", t_max=7.0, dt=0.25,
+                     t_sample=5.0, zero_mode_tol=1e-2, v_grid_start=0.7, v_grid_stop=1.4,
+                     v_grid_step=0.35, threshold=2.0)
+
+
+@pytest.mark.parametrize("scenario", sorted(TINY_SCENARIOS))
+def test_keys_a_scenario_does_not_read_change_none_of_its_bytes(scenario, tmp_path):
+    base = tiny_config(scenario, tmp_path / "base")
+    reference = run_scenario(base)
+    unread = [f.name for f in fields(ScenarioConfig)
+              if f.name not in SCENARIO_KEYS[scenario]]
+    assert set(unread) <= set(UNREAD_VALUES)
+    for key in unread:
+        assert getattr(base, key) != UNREAD_VALUES[key], key
+        cfg = replace(base, output_dir=str(tmp_path / key), **{key: UNREAD_VALUES[key]})
+        written = run_scenario(cfg)
+        assert [p.name for p in written] == [p.name for p in reference], key
+        for ref, path in zip(reference, written):
+            assert path.read_bytes() == ref.read_bytes(), (key, path.name)
+
+
 @pytest.mark.parametrize("scenario", sorted(TINY_SCENARIOS))
 def test_golden_files(scenario, tmp_path):
     """Schema lock: headers byte-exact, numbers equal to committed references."""
@@ -673,7 +699,7 @@ def test_flagship_bipartite_decomposes_pt_hamiltonians_in_real_form(tmp_path, mo
 
 def tiny_args(scenario: str, out: Path) -> list[str]:
     sets = [f"{k}={v}" for k, v in TINY_SCENARIOS[scenario].items()
-            if k != "scenario"]
+            if k != "scenario" and k in SCENARIO_KEYS[scenario]]
     args = ["run", "--scenario", scenario, "--out", str(out)]
     for item in sets:
         args += ["--set", item]
@@ -715,13 +741,15 @@ def test_cli_bad_thread_count_is_config_error(tmp_path, capsys, monkeypatch):
 ])
 def test_cli_rejects_non_finite_values_and_negative_grid_start(tmp_path, capsys, assignment):
     key, value = assignment.split("=")
+    # The ratio sweep reads no time grid; the light cone reads one.
+    scenario = "ratio-sweep" if key in SCENARIO_KEYS["ratio-sweep"] else "lightcone"
     config = tmp_path / "case.cfg"
-    config.write_text(f"scenario = ratio-sweep\n{key} = {value}\n")
+    config.write_text(f"scenario = {scenario}\n{key} = {value}\n")
     assert cli_main(["validate", "--config", str(config)]) == 2
     assert key in capsys.readouterr().err
-    assert cli_main(tiny_args("ratio-sweep", tmp_path) + ["--set", assignment]) == 2
+    assert cli_main(tiny_args(scenario, tmp_path) + ["--set", assignment]) == 2
     assert key in capsys.readouterr().err
-    assert not (tmp_path / "ratio_sweep.csv").exists()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_grid_step_too_small_to_separate_points_exit_code(tmp_path, capsys):
@@ -983,6 +1011,39 @@ def test_cli_rejects_negative_t_sample_and_a_grid_that_stops_before_it_starts(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("scenario, sets", [
+    ("ratio-sweep", ["side=left"]),
+    ("reshuffle", ["t_max=1", "dt=1e-17"]),  # a grid of 10^17 points, unread
+    ("bipartite", ["t_sample=-1"]),
+    ("spectrum", ["v_initial=0.5", "u_im=0.5", "v_final=nan"]),
+])
+def test_cli_refuses_a_set_of_a_key_the_scenario_does_not_read(scenario, sets, tmp_path,
+                                                               capsys):
+    out = tmp_path / "out"
+    args = ["run", "--scenario", scenario, "--out", str(out)]
+    for item in sets:
+        args += ["--set", item]
+    assert cli_main(args) == 2
+    unread = [item.split("=")[0] for item in sets if not item.startswith("u_im")]
+    err = capsys.readouterr().err
+    assert err == f"config error: scenario {scenario} does not read --set {', '.join(unread)}\n"
+    assert not out.exists()
+
+
+def test_cli_accepts_unread_keys_in_a_config_file_and_validate_lists_them(tmp_path, capsys):
+    config_file = tmp_path / "case.cfg"
+    config_file.write_text("scenario = ratio-sweep\nside = left\ndt = nan\nt_sample = 10\n")
+    assert cli_main(["validate", "--config", str(config_file)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("ok: scenario=ratio-sweep, 220 sites, ")
+    assert out.endswith(", v_initial/w=0.25; not read by ratio-sweep: side, dt\n")
+    # Run as a scenario that reads dt, the same file is refused.
+    assert cli_main(["run", "--scenario", "bipartite", "--config", str(config_file),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "dt must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_validate_names_a_pure_chain(tmp_path, capsys):
     config = tmp_path / "pure.cfg"
     config.write_text("region_start = none\nregion_end = none\n")
@@ -1029,7 +1090,8 @@ def test_cli_scenario_and_overrides_are_checked_only_together(tmp_path, capsys):
     config.write_text("v_grid_stop = 0.5\n")
     args = ["run", "--scenario", "ratio-sweep", "--config", str(config),
             "--out", str(tmp_path)]
-    for item in [f"{k}={v}" for k, v in TINY.items()] + ["v_grid_start=0.2",
+    for item in [f"{k}={v}" for k, v in TINY.items()
+                 if k in SCENARIO_KEYS["ratio-sweep"]] + ["v_grid_start=0.2",
                                                          "v_grid_step=0.25"]:
         args += ["--set", item]
     assert cli_main(args) == 0, capsys.readouterr().err
