@@ -109,8 +109,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             region = f"{cfg.region_start}..{cfg.region_end}"
         print(f"ok: scenario={cfg.scenario}, {2 * cfg.n_cells} sites, "
-              f"region={region}, u=({cfg.u_re:g}, {cfg.u_im:g}), "
-              f"v_initial/w={cfg.v_initial:g}"
+              f"region={region}, u=({cfg.u_re:g}, {cfg.u_im:g})"
+              + (f", v_initial/w={cfg.v_initial:g}"
+                 if "v_initial" in SCENARIO_KEYS[cfg.scenario] else "")
               + (f"; not read by {cfg.scenario}: {', '.join(unread)}" if unread else ""))
         return 0
 

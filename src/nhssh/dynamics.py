@@ -7,9 +7,9 @@ power series that raises where it misses its tail bound. The second serves
 as the oracle for the first and takes over near exceptional points, where
 the eigenbasis is too ill-conditioned to invert. ``_quench_tables`` is the
 one place that chooses between them: it decomposes each Hamiltonian once and
-writes a caller's reduction of every side's states, block by block of
-``_TIME_BLOCK`` samples, into one table per side, so the scenarios never hold
-a whole trajectory; ``run_quench`` keeps the states themselves, and
+writes a caller's reduction of every side's states into one table per side,
+in blocks of ``_TIME_BLOCK`` samples on the spectral route and as one block
+on the propagator route; ``run_quench`` keeps the states themselves, and
 ``evolve_spectral`` concatenates the spectral route's blocks. A third route,
 a Chebyshev expansion on the bands of a batch of tridiagonal Hamiltonians,
 evolves a whole sweep grid to one time without any eigendecomposition.
@@ -26,7 +26,7 @@ import numpy as np
 from .config import DEFAULT_ZERO_MODE_TOL, LatticeConfig
 from .lattice import build_hamiltonian
 from .observables import site_density
-from .spectral import Eigensystem, _sorted_eig, eigendecompose, zero_mode_report
+from .spectral import Eigensystem, _sorted_eig, eigendecompose
 
 __all__ = [
     "Edge",
@@ -66,6 +66,8 @@ _BESSEL_SERIES_BELOW = 2.0**-900
 # The largest rounding error relative to a step's sum, estimated as unit
 # roundoff times its largest tail term, that evolve_chebyshev returns as a number.
 _CHEBYSHEV_ERROR_CEILING = 1e-10
+# 2 (-i)^j by j % 4, with the -+i of an odd j left to a swap of Re and Im.
+_TERM_FACTOR = (2.0, 2.0, -2.0, -2.0)
 
 
 class Edge(Enum):
@@ -146,14 +148,15 @@ def edge_states(
             f"edge states need a chain of at least 4 sites, got {h_initial.shape[0]}"
         )
     eigenvalues, right = _sorted_eig(h_initial)
-    moduli = np.sort(np.abs(eigenvalues))
+    moduli = np.abs(eigenvalues)
+    order = np.argsort(moduli, kind="stable")
     count = np.count_nonzero(moduli < zero_mode_tol)
     if count != 2:
         raise NoEdgeStateError(
-            f"edge states need exactly 2 modes with |E| < {zero_mode_tol:g}, found "
-            f"{count}; the three smallest |E| are {', '.join(f'{m:.3e}' for m in moduli[:3])}"
+            f"edge states need exactly 2 modes with |E| < {zero_mode_tol:g}, found {count}; "
+            f"the three smallest |E| are {', '.join(f'{m:.3e}' for m in moduli[order[:3]])}"
         )
-    i, j = zero_mode_report(eigenvalues).indices
+    i, j = order[:2]
     q1 = right[:, i]
     q1 = q1 / np.linalg.norm(q1)
     q2 = right[:, j] - (q1.conj() @ right[:, j]) * q1
@@ -290,13 +293,9 @@ def evolve_propagator(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Tra
     return Trajectory(times=times, states=states)
 
 
-def _bessel_terms(x: np.ndarray) -> np.ndarray:
-    """Index at which _bessel_j starts each lane's recurrence; its table ends there."""
-    return np.ceil(1.5 * x).astype(int) + 200
-
-
-def _bessel_j(x: np.ndarray) -> np.ndarray:
-    """J_k(x_l) for every lane l, as an (L, K) table with K > 1.5 x_l + 200.
+def _bessel_j(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_k(x_l) for every lane l, as an (L, K) table with K > 1.5 x_l + 200,
+    and the index at which each lane's recurrence starts: its table ends there.
 
     Miller's backward recurrence J_{k-1} = (2k / x) J_k - J_{k+1}, started
     from J = 1 at k = ceil(1.5 x_l) + 200 with zeros above, kept in range by
@@ -308,7 +307,7 @@ def _bessel_j(x: np.ndarray) -> np.ndarray:
     rounded series instead: J_0 = 1, J_1 = x / 2 and 0 from k = 2 on.
     """
     x = np.asarray(x, dtype=float)
-    start = _bessel_terms(x)
+    start = np.ceil(1.5 * x).astype(int) + 200
     series = x < _BESSEL_SERIES_BELOW
     safe_x = np.where(series, 1.0, x)
     table = np.empty((x.size, start.max() + 1))
@@ -330,7 +329,7 @@ def _bessel_j(x: np.ndarray) -> np.ndarray:
     table[series] = 0.0
     table[series, 0] = 1.0
     table[series, 1] = x[series] / 2.0
-    return table
+    return table, start
 
 
 def evolve_chebyshev(
@@ -363,7 +362,7 @@ def evolve_chebyshev(
     exceeds _CHEBYSHEV_ERROR_CEILING times the largest |Re| or |Im| of a
     step's sum. Past its input checks it raises nothing. All arithmetic is
     elementwise, so a lane does not depend on the rest of the batch. At
-    t = 0 the states come back unchanged.
+    t = 0 the states come back equal (a -0.0 may come back +0.0).
     """
     diagonal = np.asarray(diagonal, dtype=complex)
     off_diagonal = np.asarray(off_diagonal, dtype=float)
@@ -379,8 +378,6 @@ def evolve_chebyshev(
         raise ValueError("band entries must be finite")
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    if t == 0.0:
-        return states.copy()
 
     radius = np.zeros((lanes, n))
     radius[:, :-1] += np.abs(off_diagonal)
@@ -400,7 +397,7 @@ def evolve_chebyshev(
     steps = steps.astype(int)
     tau = t / steps
     argument = half_width * tau
-    bessel, terms = _bessel_j(argument), _bessel_terms(argument)
+    bessel, terms = _bessel_j(argument)
     phase = np.exp(tau * (centre_im - 1j * centre_re))  # exp(-i c tau)
 
     # A batch of states is a (2, n + 2, L) array: real and imaginary part,
@@ -462,9 +459,7 @@ def evolve_chebyshev(
         for order in range(1, bessel.shape[1]):
             # (-i)^order 2 J_order T_order psi: a real coefficient for even
             # orders; odd ones carry -+i, which swaps Re and Im.
-            coefficient = 2.0 * bessel[:, order]
-            if order % 4 >= 2:
-                coefficient = -coefficient
+            coefficient = _TERM_FACTOR[order % 4] * bessel[:, order]
             if order % 2 == 0:
                 np.multiply(coefficient, current[:, 1:-1], out=scratch)
             else:
@@ -473,7 +468,7 @@ def evolve_chebyshev(
             if order > argument[active].min():
                 magnitude = max_abs(acc)
                 bound = unit_roundoff * magnitude
-                term = np.abs(2.0 * bessel[:, order]) * max_abs(current)
+                term = np.abs(coefficient) * max_abs(current)
                 tail = order > argument  # per lane: the batch's minimum is not its own
                 np.maximum(largest, np.where(tail, term, 0.0), out=largest)
                 was_small = small

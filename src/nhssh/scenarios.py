@@ -233,14 +233,12 @@ def compute_ratio_sweep(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     psi0 = edge_states(build_hamiltonian(lattice_initial), cfg.zero_mode_tol)
     split = default_split(lattice_initial)
     grid = np.array(scenario_v_grid(cfg))
-    diagonal, off_diagonal = map(np.array, zip(*(
-        hamiltonian_bands(scenario_lattice(cfg, ratio)) for ratio in grid
-    )))
-    # Two lanes per grid point: the left edge state, then the right.
-    states = evolve_chebyshev(
-        np.repeat(diagonal, 2, axis=0), np.repeat(off_diagonal, 2, axis=0),
-        np.tile([psi0[Edge.LEFT], psi0[Edge.RIGHT]], (grid.size, 1)), cfg.t_sample,
-    )
+    # Two lanes per grid point, sharing its bands: the left edge state, then the right.
+    lanes = []
+    for ratio in grid:
+        bands = hamiltonian_bands(scenario_lattice(cfg, ratio))
+        lanes += [(*bands, psi0[Edge.LEFT]), (*bands, psi0[Edge.RIGHT])]
+    states = evolve_chebyshev(*map(np.array, zip(*lanes)), cfg.t_sample)
     left, _ = bipartite_norms(states[0::2], split)
     _, right = bipartite_norms(states[1::2], split)
     finite = np.isfinite(left) & np.isfinite(right)

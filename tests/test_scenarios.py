@@ -1042,6 +1042,13 @@ def test_cli_accepts_unread_keys_in_a_config_file_and_validate_lists_them(tmp_pa
                      "--out", str(tmp_path / "out")]) == 2
     assert "dt must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # A scenario that does not read v_initial does not print it.
+    config_file.write_text("scenario = spectrum\nv_initial = -1\n")
+    assert cli_main(["validate", "--config", str(config_file)]) == 0
+    assert capsys.readouterr().out == (
+        "ok: scenario=spectrum, 220 sites, region=109..112, u=(0.75, 0.75); "
+        "not read by spectrum: v_initial\n"
+    )
 
 
 def test_cli_validate_names_a_pure_chain(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,23 @@ def test_eigendecompose_at_an_exact_ep_reports_an_infinite_residual_without_a_wa
     es = eigendecompose(build_hamiltonian(
         LatticeConfig(n_cells=10, v=0.0, region_start=10, region_end=11, u_im=1.0)))
     assert es.condition > 1e250 and es.completeness_residual == np.inf
+
+
+def test_eigendecompose_of_an_exactly_singular_basis_falls_back_to_the_pseudoinverse():
+    # The 3x3 shift is one Jordan block at E = 0: eig returns a right-vector
+    # matrix that inv refuses, so the left vectors come from pinv.
+    from nhssh.dynamics import evolve_spectral
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        es = eigendecompose(np.eye(3, k=-1, dtype=complex))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(es.right_vectors)
+    assert es.condition == np.inf
+    assert es.completeness_residual == np.sqrt(2.0) == 1.4142135623730951
+    assert np.all(np.isfinite(es.left_vectors))
+    with pytest.raises(NearDefectiveError):
+        evolve_spectral(es, np.array([1.0, 0.0, 0.0], dtype=complex), np.array([1.0]))
 
 
 def test_eigendecompose_needs_no_svd_and_reports_one_norm_condition(monkeypatch):
