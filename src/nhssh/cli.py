@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 config problem (a config file that cannot be read
 as UTF-8, parse or validation of the keys the scenario reads, a --set of a key
 it does not read, an NHSSH_THREADS value that is not a positive integer), 3
 simulation failure (missing edge state, a propagator step whose series misses
-its tail bound, a ratio-sweep weight that overflowed or lost its digits, an
-array too large to allocate, unwritable output).
+its tail bound, a ratio-sweep weight or ratio that is not finite, a zero
+left-half weight included, an array too large to allocate, unwritable output).
 
 Importing this module before numpy, as the ``nhssh`` script does, sets
 OPENBLAS_NUM_THREADS=1 in the process environment when it is unset; an import
@@ -119,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         written = run_scenario(cfg)
-    except (ZeroDivisionError, ValueError, RuntimeError, OSError, MemoryError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"simulation error in scenario {cfg.scenario!r}: {exc}", file=sys.stderr)
         return 3
     for path in written:

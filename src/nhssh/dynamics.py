@@ -197,15 +197,6 @@ def evolve_spectral(
     nonempty, finite times, flattened to 1-D, in any order and of any sign.
     """
     times = _checked_times(times, grid=False)
-    states = np.concatenate([states for _, states in _spectral_blocks(es, psi0, times)])
-    return Trajectory(times=times, states=states)
-
-
-def _spectral_blocks(
-    es: Eigensystem, psi0: np.ndarray, times: np.ndarray
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, states) for each block of up to _TIME_BLOCK samples of the
-    spectral route, states as a (time, site) view."""
     if not es.condition <= CONDITION_CEILING:
         raise NearDefectiveError(
             f"right-vector condition {es.condition:.3e} exceeds the ceiling; "
@@ -214,6 +205,15 @@ def _spectral_blocks(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (es.dim,):
         raise ValueError(f"psi0 has shape {psi0.shape}, expected ({es.dim},)")
+    states = np.concatenate([states for _, states in _spectral_blocks(es, psi0, times)])
+    return Trajectory(times=times, states=states)
+
+
+def _spectral_blocks(
+    es: Eigensystem, psi0: np.ndarray, times: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, states) for each block of up to _TIME_BLOCK samples of the
+    spectral route, states as a (time, site) view; the caller checks es and psi0."""
     coeff = es.left_vectors.conj().T @ psi0
     for start in range(0, times.size, _TIME_BLOCK):
         rows = slice(start, min(start + _TIME_BLOCK, times.size))
@@ -376,6 +376,8 @@ def evolve_chebyshev(
         raise ValueError(f"states has shape {states.shape}, expected ({lanes}, {n})")
     if not (np.all(np.isfinite(diagonal.view(float))) and np.all(np.isfinite(off_diagonal))):
         raise ValueError("band entries must be finite")
+    if not np.all(np.isfinite(states.view(float))):
+        raise ValueError("states must be finite")
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
 

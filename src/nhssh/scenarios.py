@@ -19,8 +19,8 @@ from .config import ScenarioConfig, _grid, parse_config, scenario_lattice, scena
 from .dynamics import Edge, QuenchSpec, _quench_tables, edge_states, evolve_chebyshev
 from .lattice import build_hamiltonian, hamiltonian_bands
 from .observables import bipartite_norms, default_split, site_density
-from .parallel import _one_blas_thread, thread_count
-from .spectral import Sweep, match_branches, spectrum_sweep
+from .parallel import _one_blas_thread
+from .spectral import match_branches, spectrum_sweep
 
 __all__ = [
     "time_grid",
@@ -95,19 +95,6 @@ def _grid_rows(
         yield "".join(label.join(pieces) for label in labels[rows]), _values(columns, rows)
 
 
-def _write_sweep(path: Path, sweep: Sweep, branch: np.ndarray | None = None) -> Path:
-    """One row per (grid point, eigenvalue); a branch column only with labels."""
-    sides = np.array([[side.value for side in row] for row in sweep.side.tolist()], dtype=object)
-    columns = [sweep.eigenvalues.real, sweep.eigenvalues.imag, sweep.com, sides]
-    header, fields = "re_e,im_e,com,side", "%.12g,%.12g,%.12g,%s"
-    if branch is not None:
-        columns.insert(0, branch)
-        header, fields = "branch," + header, "%s," + fields
-    labels = [_fmt(v) for v in sweep.v_over_w.tolist()]
-    blocks = _grid_rows(labels, range(sweep.eigenvalues.shape[1]), fields, *columns)
-    return _write_table(path, "v_over_w,index," + header, blocks)
-
-
 def _clamp(densities: np.ndarray) -> float:
     """``np.percentile(densities, _CLAMP_PERCENTILE)``, bit for bit, for
     densities without NaN: numpy's linear rule on the two order statistics
@@ -177,15 +164,18 @@ def _quench(
 
 
 def _run_sweep(cfg: ScenarioConfig, out: Path, *, labeled: bool) -> list[Path]:
+    """One row per (grid point, eigenvalue); a branch column only with labels."""
     grid = scenario_v_grid(cfg)
-    sweep = spectrum_sweep(
-        scenario_lattice(cfg, grid[0]),
-        grid,
-        threshold=cfg.threshold,
-        threads=thread_count(),
-    )
-    branch = match_branches(sweep) if labeled else None
-    return [_write_sweep(out / f"{cfg.scenario}.csv", sweep, branch)]
+    sweep = spectrum_sweep(scenario_lattice(cfg, grid[0]), grid, threshold=cfg.threshold)
+    sides = np.array([[side.value for side in row] for row in sweep.side.tolist()], dtype=object)
+    columns = [sweep.eigenvalues.real, sweep.eigenvalues.imag, sweep.com, sides]
+    header, fields = "re_e,im_e,com,side", "%.12g,%.12g,%.12g,%s"
+    if labeled:
+        columns.insert(0, match_branches(sweep))
+        header, fields = "branch," + header, "%s," + fields
+    labels = [_fmt(v) for v in sweep.v_over_w.tolist()]
+    blocks = _grid_rows(labels, range(sweep.eigenvalues.shape[1]), fields, *columns)
+    return [_write_table(out / f"{cfg.scenario}.csv", "v_over_w,index," + header, blocks)]
 
 
 def _run_lightcone(cfg: ScenarioConfig, out: Path) -> list[Path]:
@@ -225,9 +215,10 @@ def compute_ratio_sweep(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     bands of each final Hamiltonian (``evolve_chebyshev``). ``run_scenario``
     runs it on one BLAS thread, like every scenario, so its bytes depend
     neither on the core count nor on ``OPENBLAS_NUM_THREADS``; a direct call
-    uses the caller's BLAS threads. Raises RuntimeError when a state or its
-    half-chain weight is not finite: a growing mode overflowed, or the
-    expansion lost its digits to cancellation and returned NaN.
+    uses the caller's BLAS threads. Raises RuntimeError at the first grid
+    point whose left-half weight or ratio is not finite: a growing mode
+    overflowed, the expansion lost its digits to cancellation and returned
+    NaN, or the left half's weight vanished.
     """
     lattice_initial = scenario_lattice(cfg, cfg.v_initial)
     psi0 = edge_states(build_hamiltonian(lattice_initial), cfg.zero_mode_tol)
@@ -239,25 +230,22 @@ def compute_ratio_sweep(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
         bands = hamiltonian_bands(scenario_lattice(cfg, ratio))
         lanes += [(*bands, psi0[Edge.LEFT]), (*bands, psi0[Edge.RIGHT])]
     states = evolve_chebyshev(*map(np.array, zip(*lanes)), cfg.t_sample)
-    left, _ = bipartite_norms(states[0::2], split)
-    _, right = bipartite_norms(states[1::2], split)
-    finite = np.isfinite(left) & np.isfinite(right)
+    left, right = bipartite_norms(states, split)
+    left, right = left[0::2], right[1::2]
+    with np.errstate(all="ignore"):
+        ratio = right / left
+    finite = np.isfinite(left) & np.isfinite(ratio)
     if not finite.all():
         raise RuntimeError(
-            f"the evolved edge-state weight at v/w={grid[np.argmin(finite)]:g} "
-            f"is not finite at t={cfg.t_sample:g} (a growing mode overflowed, or "
-            "the Chebyshev sum lost its digits to cancellation)"
-        )
-    vanishing = np.flatnonzero(left == 0.0)
-    if vanishing.size:
-        raise ZeroDivisionError(
-            f"left-half norm vanishes at v/w={grid[vanishing[0]]}, t={cfg.t_sample}"
+            f"the evolved edge-state weight or ratio at v/w={grid[np.argmin(finite)]:g} "
+            f"is not finite at t={cfg.t_sample:g} (a growing mode overflowed, the "
+            "Chebyshev sum lost its digits to cancellation, or the left half's weight vanished)"
         )
     return {
         "v_over_w": grid,
         "rho_right_init_right_half": right,
         "rho_left_init_left_half": left,
-        "ratio": right / left,
+        "ratio": ratio,
     }
 
 

@@ -9,15 +9,10 @@ from enum import Enum
 
 import numpy as np
 
-from .config import LatticeConfig
+from .config import DEFAULT_SIDE_THRESHOLD, LatticeConfig
 from .lattice import build_hamiltonian, is_pt_matrix
-from .observables import (
-    DEFAULT_SIDE_THRESHOLD,
-    center_of_mass,
-    classify_side,
-    reference_center,
-)
-from .parallel import thread_map
+from .observables import center_of_mass, classify_side, reference_center
+from .parallel import thread_count, thread_map
 
 __all__ = [
     "Eigensystem",
@@ -146,12 +141,12 @@ def spectrum_sweep(
     v_grid: "list[float] | np.ndarray",
     *,
     threshold: float = DEFAULT_SIDE_THRESHOLD,
-    threads: int = 1,
 ) -> Sweep:
     """Eigenvalues, centers of mass and side classes across a v/w grid.
 
     Grid entries are ratios v/w; the template's hoppings other than v are kept.
     Only the sorted eigenpairs are computed: no left basis or conditioning.
+    The grid points run on NHSSH_THREADS worker threads (``thread_count``).
     """
     grid = [float(r) for r in v_grid]
     if not grid:
@@ -167,7 +162,7 @@ def spectrum_sweep(
         com = center_of_mass(right)
         return eigenvalues, com, classify_side(com, center, threshold)
 
-    eigenvalues, com, side = zip(*thread_map(at, grid, threads))
+    eigenvalues, com, side = zip(*thread_map(at, grid, thread_count()))
     return Sweep(
         v_over_w=np.array(grid),
         eigenvalues=np.array(eigenvalues),

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -475,6 +476,17 @@ def test_chebyshev_route_rejects_malformed_input():
                  (diagonal, off_diagonal, states, 1e300)]:
         with pytest.raises(ValueError):
             evolve_chebyshev(*args)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.0, -np.inf)])
+def test_chebyshev_route_rejects_a_state_that_is_not_finite(value):
+    diagonal, off_diagonal = hamiltonian_bands(LatticeConfig(n_cells=3, v=0.5))
+    states = np.ones((1, 6), dtype=complex)
+    states[0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="states must be finite"):
+            evolve_chebyshev(diagonal[None], off_diagonal[None], states, 1.0)
 
 
 def bessel_by_quadrature(x: float, k: int) -> float:

@@ -1,6 +1,7 @@
 import filecmp
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -657,10 +658,15 @@ def test_every_scenario_runs_its_eig_on_one_blas_thread(scenario, tmp_path,
 
 
 def test_ratio_sweep_zero_denominator(tmp_path, monkeypatch):
-    # All weight on the right half: the left-half norm in the denominator is 0.
-    monkeypatch.setattr(scenarios, "bipartite_norms", lambda psi, split: (0.0, 1.0))
-    with pytest.raises(ZeroDivisionError):
-        compute_ratio_sweep(tiny_config("ratio-sweep", tmp_path))
+    # The left-half weight in the denominator vanishes, is so small that the
+    # ratio overflows, or is NaN: the grid point fails the one finiteness rule.
+    for left in (0.0, 1e-320, np.nan):
+        monkeypatch.setattr(scenarios, "bipartite_norms", lambda states, split: (
+            np.full(len(states), left), np.ones(len(states))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="not finite"):
+                compute_ratio_sweep(tiny_config("ratio-sweep", tmp_path))
 
 
 def test_bipartite_both_sides_decomposes_each_matrix_once(tmp_path, monkeypatch):

@@ -262,6 +262,32 @@ def test_sweep_rejects_bad_grid():
         spectrum_sweep(template, [0.5, 0.5])
 
 
+def test_sweep_runs_on_the_threads_nhssh_threads_names(monkeypatch):
+    template = LatticeConfig(n_cells=10, v=0.25, region_start=9, region_end=12,
+                             u_re=0.75, u_im=0.75)
+    grid = [0.5, 0.9, 1.3, 1.7]
+    calls = []
+    real_thread_map = spectral.thread_map
+
+    def recording_thread_map(fn, items, threads):
+        calls.append(threads)
+        return real_thread_map(fn, items, threads)
+
+    monkeypatch.setattr(spectral, "thread_map", recording_thread_map)
+    sweeps = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NHSSH_THREADS", threads)
+        sweeps.append(spectrum_sweep(template, grid))
+    assert calls == [1, 2]
+    serial, threaded = sweeps
+    assert threaded.eigenvalues.tobytes() == serial.eigenvalues.tobytes()
+    assert threaded.com.tobytes() == serial.com.tobytes()
+    assert threaded.side.tolist() == serial.side.tolist()
+    monkeypatch.setenv("NHSSH_THREADS", "0")
+    with pytest.raises(ValueError, match="NHSSH_THREADS"):
+        spectrum_sweep(template, grid)
+
+
 def test_flagship_imaginary_trail_collapses_near_gap_closure():
     sweep = spectrum_sweep(flagship_config(0.25), [0.9, 1.2])
     max_im = dict(zip(sweep.v_over_w.tolist(),
