@@ -97,12 +97,14 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class QuenchSpec:
-    """A sudden v change for the edge states in ``sides``; configs differ only in v."""
+    """A sudden v change for the edge states in ``sides``, the initial H's two
+    modes with |E| < ``zero_mode_tol``; the configs differ only in v."""
 
     initial_config: LatticeConfig
     final_config: LatticeConfig
     sides: tuple[Edge, ...]
     times: np.ndarray
+    zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL
 
     def __post_init__(self) -> None:
         if replace(self.initial_config, v=0.0) != replace(self.final_config, v=0.0):
@@ -499,23 +501,19 @@ def evolve_chebyshev(
     return result
 
 
-def run_quench(
-    spec: QuenchSpec, *, zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL
-) -> dict[Edge, Trajectory]:
+def run_quench(spec: QuenchSpec) -> dict[Edge, Trajectory]:
     """Prepare the edge states of the initial Hamiltonian and evolve the
     requested sides under the final one, each Hamiltonian decomposed once.
 
     The trajectories are ``_quench_tables``' states, unreduced; RuntimeError
     when a side's state stops being finite (a growing mode overflowed).
     """
-    tables = _quench_tables(spec, lambda states: states, zero_mode_tol)
+    tables = _quench_tables(spec, lambda states: states)
     return {side: Trajectory(times=spec.times, states=states) for side, states in tables.items()}
 
 
 def _quench_tables(
-    spec: QuenchSpec,
-    reduce: Callable[[np.ndarray], np.ndarray],
-    zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL,
+    spec: QuenchSpec, reduce: Callable[[np.ndarray], np.ndarray]
 ) -> dict[Edge, np.ndarray]:
     """For each requested side, the table whose rows are ``reduce`` of its
     (time, site) states, row for row, in time order.
@@ -528,7 +526,7 @@ def _quench_tables(
     is finite; RuntimeError names the side and the first time at which it is
     not (a growing mode overflowed).
     """
-    psi0 = edge_states(build_hamiltonian(spec.initial_config), zero_mode_tol)
+    psi0 = edge_states(build_hamiltonian(spec.initial_config), spec.zero_mode_tol)
     h_final = build_hamiltonian(spec.final_config)
     es = eigendecompose(h_final)
     use_propagator = not es.condition <= CONDITION_CEILING

@@ -3,7 +3,6 @@ localization-side classification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -12,7 +11,6 @@ from .config import DEFAULT_SIDE_THRESHOLD, LatticeConfig
 
 __all__ = [
     "Side",
-    "BipartiteSplit",
     "site_density",
     "bipartite_norms",
     "center_of_mass",
@@ -30,16 +28,9 @@ class Side(Enum):
     CENTER = "center"
 
 
-@dataclass(frozen=True)
-class BipartiteSplit:
-    """Half-chain split: left = sites 1..split_site, right = the rest."""
-
-    split_site: int
-
-
-def default_split(config: LatticeConfig) -> BipartiteSplit:
-    """Split at the reference center, rounded down to a site."""
-    return BipartiteSplit(int(reference_center(config)))
+def default_split(config: LatticeConfig) -> int:
+    """Split site at the reference center, rounded down to a site."""
+    return int(reference_center(config))
 
 
 def reference_center(config: LatticeConfig) -> float:
@@ -56,9 +47,10 @@ def site_density(psi: np.ndarray) -> np.ndarray:
 
 
 def bipartite_norms(
-    psi: np.ndarray, split: BipartiteSplit
+    psi: np.ndarray, split_site: int
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Squared norm on each side of the split; the two add up to ||psi||^2.
+    """Squared norm on sites 1..split_site (left) and on the rest (right);
+    the two add up to ||psi||^2.
 
     A state gives two floats; a (k, n) block of states, one per row, gives
     two arrays of k norms.
@@ -66,12 +58,10 @@ def bipartite_norms(
     # One contiguous row per state, so each row is summed as a lone state is;
     # on a column-major block the sum would run across states instead.
     rho = np.ascontiguousarray(site_density(psi))
-    if not 1 <= split.split_site < rho.shape[-1]:
-        raise ValueError(
-            f"split_site must lie in [1, {rho.shape[-1] - 1}], got {split.split_site}"
-        )
-    rho_left = rho[..., : split.split_site].sum(axis=-1)
-    rho_right = rho[..., split.split_site :].sum(axis=-1)
+    if not 1 <= split_site < rho.shape[-1]:
+        raise ValueError(f"split_site must lie in [1, {rho.shape[-1] - 1}], got {split_site}")
+    rho_left = rho[..., :split_site].sum(axis=-1)
+    rho_right = rho[..., split_site:].sum(axis=-1)
     if rho_left.ndim == 0:
         return float(rho_left), float(rho_right)
     return rho_left, rho_right

@@ -8,7 +8,7 @@ reflection-ratio sweeps.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
 from pathlib import Path
 
@@ -149,18 +149,15 @@ def _write_heatmap(
 # Scenario runners
 # ---------------------------------------------------------------------------
 
-def _quench(
-    cfg: ScenarioConfig, reduce: Callable[[np.ndarray], np.ndarray]
-) -> dict[Edge, np.ndarray]:
-    """Each configured side's table of ``reduce`` of its states on the scenario
-    time grid, one row per sample (see ``dynamics._quench_tables``)."""
-    spec = QuenchSpec(
+def _quench_spec(cfg: ScenarioConfig) -> QuenchSpec:
+    """The quench of the configured sides on the scenario time grid."""
+    return QuenchSpec(
         initial_config=scenario_lattice(cfg, cfg.v_initial),
         final_config=scenario_lattice(cfg, cfg.v_final),
         sides=tuple(Edge) if cfg.side == "both" else (Edge(cfg.side),),
         times=time_grid(cfg),
+        zero_mode_tol=cfg.zero_mode_tol,
     )
-    return _quench_tables(spec, reduce, cfg.zero_mode_tol)
 
 
 def _run_sweep(cfg: ScenarioConfig, out: Path, *, labeled: bool) -> list[Path]:
@@ -179,29 +176,29 @@ def _run_sweep(cfg: ScenarioConfig, out: Path, *, labeled: bool) -> list[Path]:
 
 
 def _run_lightcone(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    times = time_grid(cfg)
+    spec = _quench_spec(cfg)
     # Every side's densities exist before any file is opened, so a state that
     # overflows leaves no output.
-    tables = _quench(cfg, site_density)
-    t_labels = [_fmt(t) for t in times.tolist()]
+    tables = _quench_tables(spec, site_density)
+    t_labels = [_fmt(t) for t in spec.times.tolist()]
     outputs: list[Path] = []
     for side, densities in tables.items():
         name = f"lightcone_{side.value}"
         blocks = _grid_rows(t_labels, range(1, densities.shape[1] + 1), "%.12g", densities)
         outputs.append(_write_table(out / f"{name}.csv", "t,site,density", blocks))
         outputs.extend(_write_heatmap(
-            out / f"{name}.pgm", out / f"{name}_clamp.txt", times, densities
+            out / f"{name}.pgm", out / f"{name}_clamp.txt", spec.times, densities
         ))
     return outputs
 
 
 def _run_bipartite(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    split = default_split(scenario_lattice(cfg, cfg.v_initial))
-    times = time_grid(cfg)
-    tables = _quench(cfg, lambda states: np.column_stack(bipartite_norms(states, split)))
+    spec = _quench_spec(cfg)
+    split = default_split(spec.initial_config)
+    tables = _quench_tables(spec, lambda states: np.column_stack(bipartite_norms(states, split)))
     blocks = (
         block for side, norms in tables.items()
-        for block in _flat_rows(f"%.12g,%.12g,%.12g,{side.value}", times, *norms.T)
+        for block in _flat_rows(f"%.12g,%.12g,%.12g,{side.value}", spec.times, *norms.T)
     )
     return [_write_table(out / "bipartite.csv", "t,rho_left,rho_right,side_init", blocks)]
 

@@ -15,8 +15,7 @@ from nhssh.config import LatticeConfig, ScenarioConfig, apply_overrides
 from nhssh.dynamics import Edge, QuenchSpec, evolve_propagator, evolve_spectral, \
     initial_edge_state, run_quench
 from nhssh.lattice import build_hamiltonian, edge_correction
-from nhssh.observables import BipartiteSplit, Side, bipartite_norms, \
-    center_of_mass, classify_side
+from nhssh.observables import Side, bipartite_norms, center_of_mass, classify_side
 from nhssh.scenarios import compute_ratio_sweep, ratio_crossing, run_scenario
 from nhssh.spectral import EpKind, eigendecompose, ep_locate, match_branches, \
     spectrum_sweep, zero_mode_report
@@ -138,7 +137,7 @@ def test_criterion_05_hermitian_norm_and_light_cone():
     traj = run_quench(QuenchSpec(pure, pure.with_v(1.5), (Edge.LEFT,), times))[Edge.LEFT]
     norm_dev = float(np.max(np.abs(np.sum(traj.densities, axis=1) - 1.0)))
     assert norm_dev < 1e-8
-    split = BipartiteSplit(110)
+    split = 110
     rho_right = np.array([bipartite_norms(s, split)[1] for s in traj.states])
     peak = int(np.argmax(rho_right))
     assert rho_right[0] < 1e-6

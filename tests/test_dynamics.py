@@ -87,6 +87,15 @@ def test_no_edge_states_where_a_block_mode_sits_at_zero_energy():
         edge_states(build_hamiltonian(flagship_config(0.25, u=(0.0, 1.0))))
 
 
+def test_run_quench_reads_the_zero_mode_tol_of_its_spec():
+    # The three smallest |E| of the flagship's initial H are 8.5e-16, 2.8e-15
+    # and 8.3e-2: a tolerance of 0.1 lets a block mode join the edge pair.
+    config = flagship_config(0.25)
+    spec = QuenchSpec(config, config.with_v(1.5), (Edge.LEFT,), [0.0], zero_mode_tol=0.1)
+    with pytest.raises(NoEdgeStateError, match=r"\|E\| < 0\.1, found 3; .*, 8\.299e-02$"):
+        run_quench(spec)
+
+
 def test_spectral_evolution_returns_initial_state_at_t_zero():
     h = build_hamiltonian(small_pt_config(1.3))
     es = eigendecompose(h)

@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 
 from nhssh.config import LatticeConfig
 from nhssh.observables import (
-    BipartiteSplit,
     Side,
     bipartite_norms,
     center_of_mass,
@@ -36,7 +35,7 @@ def test_site_density_phases_drop_out():
                                               allow_nan=False,
                                               allow_infinity=False)))
 def test_bipartite_norms_additivity(psi):
-    split = BipartiteSplit(len(psi) // 2 if len(psi) > 2 else 1)
+    split = len(psi) // 2 if len(psi) > 2 else 1
     rho_left, rho_right = bipartite_norms(psi, split)
     np.testing.assert_allclose(rho_left + rho_right,
                                np.linalg.norm(psi) ** 2, rtol=1e-12, atol=1e-12)
@@ -45,7 +44,7 @@ def test_bipartite_norms_additivity(psi):
 
 def test_bipartite_norms_uniform_state():
     psi = np.full(220, 1.0 / np.sqrt(220), dtype=complex)
-    rho_left, rho_right = bipartite_norms(psi, BipartiteSplit(110))
+    rho_left, rho_right = bipartite_norms(psi, 110)
     np.testing.assert_allclose((rho_left, rho_right), (0.5, 0.5), rtol=1e-12)
 
 
@@ -53,7 +52,7 @@ def test_bipartite_norms_left_edge_state():
     psi = np.zeros(220, dtype=complex)
     psi[0::2] = (-0.25) ** np.arange(110)
     psi /= np.linalg.norm(psi)
-    rho_left, rho_right = bipartite_norms(psi, BipartiteSplit(110))
+    rho_left, rho_right = bipartite_norms(psi, 110)
     assert rho_right < 1e-6
     assert rho_left > 1 - 1e-6
 
@@ -61,9 +60,9 @@ def test_bipartite_norms_left_edge_state():
 def test_bipartite_norms_invalid_split():
     psi = np.ones(4, dtype=complex)
     with pytest.raises(ValueError):
-        bipartite_norms(psi, BipartiteSplit(0))
+        bipartite_norms(psi, 0)
     with pytest.raises(ValueError):
-        bipartite_norms(psi, BipartiteSplit(4))
+        bipartite_norms(psi, 4)
 
 
 def test_bipartite_norms_block_equals_per_row_calls(rng):
@@ -72,7 +71,7 @@ def test_bipartite_norms_block_equals_per_row_calls(rng):
     phases = np.exp(-1j * np.outer(rng.normal(size=64), np.linspace(0.0, 5.0, 40)))
     # (time, site) as `_spectral_blocks` yields it: a transposed, column-major view.
     transposed = (vectors @ phases).T
-    split = BipartiteSplit(29)
+    split = 29
     for block in (transposed, np.ascontiguousarray(transposed), np.asfortranarray(transposed)):
         rho_left, rho_right = bipartite_norms(block, split)
         assert rho_left.shape == rho_right.shape == (40,)
@@ -84,13 +83,13 @@ def test_bipartite_norms_block_equals_per_row_calls(rng):
 
 def test_default_split_and_reference_center():
     config = flagship_config(0.25)
-    assert default_split(config).split_site == 110
+    assert default_split(config) == 110
     assert reference_center(config) == 110.5
     odd_sum = flagship_config(0.25, region=(108, 111))
-    assert default_split(odd_sum).split_site == 109
+    assert default_split(odd_sum) == 109
     assert reference_center(odd_sum) == 109.5
     pure = LatticeConfig(n_cells=3, v=0.5)
-    assert default_split(pure).split_site == 3
+    assert default_split(pure) == 3
     assert reference_center(pure) == 3.5
 
 

@@ -271,7 +271,8 @@ def test_lightcone_heatmap_structure(tmp_path):
 def test_flagship_heatmap_pixels_are_bitwise_the_out_of_place_expression(tmp_path):
     cfg = ScenarioConfig(scenario="lightcone", output_dir=str(tmp_path))
     times = time_grid(cfg)
-    for side, densities in scenarios._quench(cfg, lambda s: np.abs(s) ** 2).items():
+    tables = dynamics._quench_tables(scenarios._quench_spec(cfg), lambda s: np.abs(s) ** 2)
+    for side, densities in tables.items():
         pgm = tmp_path / f"{side.value}.pgm"
         # _write_heatmap turns the table it is given into pixels.
         scenarios._write_heatmap(pgm, tmp_path / f"{side.value}.txt", times, densities.copy())
@@ -598,6 +599,37 @@ def test_asymmetry_switch_window_holds_across_the_reflection_window(t_sample):
         crossings[u_im] = ratio_crossing(sweep["v_over_w"], sweep["ratio"])
     assert crossings[0.75] is not None and 1.15 <= crossings[0.75] <= 1.35
     assert crossings[1.0] is not None and crossings[1.0] > crossings[0.75]
+
+
+def switch_point(**changes) -> float | None:
+    """``ratio_crossing`` of the ratio sweep on the default grid."""
+    sweep = compute_ratio_sweep(ScenarioConfig(scenario="ratio-sweep", **changes))
+    return ratio_crossing(sweep["v_over_w"], sweep["ratio"])
+
+
+def test_asymmetry_switch_converges_with_chain_length():
+    """The crossing is a property of the model, not of the 220-site chain: a
+    4-site block starting on an A site within one site of the centre, sampled
+    at a time that scales with the chain, crosses at the same v/w at 110, 220
+    and 330 sites (measured spread 7.7e-5)."""
+    crossings = [
+        switch_point(n_cells=n_cells, region_start=start, region_end=start + 3,
+                     t_sample=120.0 * n_cells / 110)
+        for n_cells, start in ((55, 55), (110, 109), (165, 165))
+    ]
+    assert None not in crossings
+    assert max(crossings) - min(crossings) < 3e-4
+
+
+def test_asymmetry_switch_moves_up_with_block_strength():
+    """Criteria 7-9 as a trend: with u_re = 0.75 the crossing rises with u_im
+    (1.096, 1.196, 1.425 measured), and a purely imaginary block never
+    crosses."""
+    crossings = [switch_point(u_re=0.75, u_im=u_im) for u_im in (0.25, 0.65, 1.05)]
+    assert None not in crossings
+    assert all(low < high for low, high in zip(crossings, crossings[1:]))
+    for u_im in (0.25, 1.05):
+        assert switch_point(u_re=0.0, u_im=u_im) is None
 
 
 def test_one_point_ratio_sweep_equals_its_point_in_the_flagship_sweep():
@@ -1003,6 +1035,30 @@ def test_cli_block_mode_at_zero_energy_has_no_edge_states_exit_code(scenario, tm
     err = capsys.readouterr().err
     assert scenario in err and "edge states need exactly 2 modes with |E| < 0.001, found 4" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+# The three smallest |E| of the flagship's initial H are 8.5e-16, 2.8e-15 and
+# 8.3e-2: a zero_mode_tol of 0.1 admits a block mode, one of 0.05 only the pair.
+ZERO_MODE_TOL_RUNS = {"lightcone": "t_max=5", "bipartite": "t_max=5",
+                      "ratio-sweep": "v_grid_stop=1.05"}
+
+
+@pytest.mark.parametrize("scenario", sorted(ZERO_MODE_TOL_RUNS))
+def test_cli_zero_mode_tol_reaches_every_quench_scenario(scenario, tmp_path, capsys):
+    args = ["run", "--scenario", scenario, "--out", str(tmp_path),
+            "--set", ZERO_MODE_TOL_RUNS[scenario], "--set", "zero_mode_tol=0.1"]
+    assert cli_main(args) == 3
+    err = capsys.readouterr().err
+    assert scenario in err and "edge states need exactly 2 modes with |E| < 0.1, found 3" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_zero_mode_tol_between_the_pair_and_the_block_mode_changes_no_byte(tmp_path):
+    base = ["run", "--scenario", "bipartite", "--set", "t_max=5"]
+    assert cli_main([*base, "--out", str(tmp_path / "default")]) == 0
+    assert cli_main([*base, "--set", "zero_mode_tol=0.05", "--out", str(tmp_path / "tol")]) == 0
+    assert filecmp.cmp(tmp_path / "default" / "bipartite.csv", tmp_path / "tol" / "bipartite.csv",
+                       shallow=False)
 
 
 @pytest.mark.parametrize("assignment, key", [
