@@ -52,7 +52,12 @@ _BLOCK_ROWS = 4096
 
 def _write_table(path: Path, header: str, blocks: Iterable[tuple[str, list]]) -> Path:
     """CSV of the line ``header``, then ``row_format % tuple(values)`` for each
-    ``(row_format, values)`` block, written before the next block is built."""
+    ``(row_format, values)`` block, written before the next block is built.
+
+    Creates the output directory: every runner writes a table first, after
+    all of its data exist, so a run that fails leaves no directory behind.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as f:
         f.write(f"{header}\n".encode("ascii"))
         for row_format, values in blocks:
@@ -287,7 +292,5 @@ def run_scenario(cfg: ScenarioConfig) -> list[Path]:
     caller's count is restored after, so the bytes depend neither on the core
     count nor on ``OPENBLAS_NUM_THREADS``.
     """
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with _one_blas_thread():
-        return _RUNNERS[cfg.scenario](cfg, out)
+        return _RUNNERS[cfg.scenario](cfg, Path(cfg.output_dir))

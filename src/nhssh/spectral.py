@@ -10,8 +10,8 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT_SIDE_THRESHOLD, LatticeConfig
-from .lattice import build_hamiltonian, is_pt_matrix
-from .observables import center_of_mass, classify_side, reference_center
+from .lattice import build_hamiltonian, hamiltonian_bands, is_pt_matrix
+from .observables import classify_side, reference_center
 from .parallel import thread_count, thread_map
 
 __all__ = [
@@ -61,22 +61,27 @@ class Eigensystem:
         return self.eigenvalues.shape[0]
 
 
-def _sorted_eig(h: np.ndarray, pt_real: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _checked(h: np.ndarray) -> np.ndarray:
+    """h as a complex array, refused unless square with finite entries."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if not np.all(np.isfinite(h.view(float))):
+        raise ValueError("matrix entries must be finite")
+    return h
+
+
+def _sorted_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors, sorted ascending by (Re E, Im E).
 
     An exactly PT-symmetric h (P h* P = h, P the site flip) goes through the
     real M = U^H h U = Re h - (Im h) P, U = (I + iP)/sqrt(2), formed with no
     rounding: real eig is ~3x cheaper, its conjugate pairs are exact (-Im E
     sorts first), and h's right vectors are U r for M's unit right vectors r.
-    Any other h, or ``pt_real=False``, takes complex eig, whose pair order is
-    ulp noise; ``spectrum_sweep`` keeps it for the 20-site goldens, which pin it.
+    Any other h takes complex eig.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h.view(float))):
-        raise ValueError("matrix entries must be finite")
-    if pt_real and is_pt_matrix(h):
+    h = _checked(h)
+    if is_pt_matrix(h):
         eigenvalues, r = np.linalg.eig(h.real - h.imag[:, ::-1])
         eigenvalues = eigenvalues.astype(complex, copy=False)
         # U r = (r + i P r) / sqrt(2), in place and with r freed before the
@@ -145,7 +150,9 @@ def spectrum_sweep(
     """Eigenvalues, centers of mass and side classes across a v/w grid.
 
     Grid entries are ratios v/w; the template's hoppings other than v are kept.
-    Only the sorted eigenpairs are computed: no left basis or conditioning.
+    Each point takes its eigenvalues from eigenvalue-only complex eig of the
+    dense H, sorted ascending by (Re E, Im E), and its centers of mass from
+    the bands of H (``_band_centers``): no eigenvector matrix is formed.
     The grid points run on NHSSH_THREADS worker threads (``thread_count``).
     """
     grid = [float(r) for r in v_grid]
@@ -156,10 +163,10 @@ def spectrum_sweep(
     center = reference_center(template)
 
     def at(ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        eigenvalues, right = _sorted_eig(
-            build_hamiltonian(template.with_v(ratio * template.w)), pt_real=False
-        )
-        com = center_of_mass(right)
+        config = template.with_v(ratio * template.w)
+        eigenvalues = np.linalg.eigvals(_checked(build_hamiltonian(config)))
+        eigenvalues = eigenvalues[np.lexsort((eigenvalues.imag, eigenvalues.real))]
+        com = _band_centers(*hamiltonian_bands(config), eigenvalues)
         return eigenvalues, com, classify_side(com, center, threshold)
 
     eigenvalues, com, side = zip(*thread_map(at, grid, thread_count()))
@@ -169,6 +176,89 @@ def spectrum_sweep(
         com=np.array(com),
         side=np.array(side, dtype=object),
     )
+
+
+# Eigenvalues closer than this, relative to ||H||_1, are numerically equal.
+_CLUSTER_TOL = 1e-12
+_EPS = np.finfo(float).eps
+
+
+def _band_centers(
+    diagonal: np.ndarray, off_diagonal: np.ndarray, eigenvalues: np.ndarray
+) -> np.ndarray:
+    """Center of mass of the eigenvector of each eigenvalue of the complex
+    symmetric tridiagonal H with these bands, in O(n) work per eigenvalue.
+
+    For each eigenvalue E, the forward and backward pivots of H - E (its
+    LDL^T factorizations started at the first and at the last site) give
+    gamma_k, and the vector z with z_r = 1 at the twist r where |gamma| is
+    smallest solves (H - E) z = gamma_r e_r (Parlett & Dhillon, Linear Algebra
+    Appl. 267, 247 (1997)). log|z| is summed outward from r, so |z|^2 cannot
+    overflow and a zero hopping cuts the chain; a pivot that is exactly zero
+    becomes eps^2 ||H||_1. Within a cluster of numerically equal eigenvalues
+    (``_CLUSTER_TOL``), where the vectors are a choice of basis, each member
+    takes its twist, where it can, outside the sites where an earlier
+    member's density reaches eps of its peak: the two zero modes of the
+    topological phase land on opposite edges.
+    """
+    n = diagonal.size
+    hops = np.abs(off_diagonal)
+    norm = float(np.max(np.abs(diagonal) + np.append(hops, 0.0) + np.append(0.0, hops)))
+    # pivots[0, k] is the forward pivot of site k, pivots[1, k] the backward
+    # pivot of site n - 1 - k, each computed in place over its diagonal entry
+    # of H - E.
+    pivots = np.empty((2, n, eigenvalues.size), dtype=complex)
+    np.subtract(diagonal[:, np.newaxis], eigenvalues, out=pivots[0])
+    pivots[1] = pivots[0, ::-1]
+    squares = np.square(off_diagonal)
+    squares = np.stack((squares, squares[::-1]))[..., np.newaxis]
+    quotient = np.empty((2, eigenvalues.size), dtype=complex)
+    floor = _EPS * _EPS * norm
+    for k in range(n - 1):
+        pivot = pivots[:, k]
+        pivot[pivot == 0] = floor
+        np.divide(squares[:, k], pivot, out=quotient)
+        pivots[:, k + 1] -= quotient
+    forward, backward = pivots[0], pivots[1, ::-1]
+    with np.errstate(divide="ignore"):
+        log_hops = np.log(hops)[:, np.newaxis]
+    # Left of the twist z_k = -b_k z_{k+1} / forward_k, right of it
+    # z_k = -b_{k-1} z_{k-1} / backward_k: one log|ratio| per bond.
+    left, right = np.abs(forward[:-1]), np.abs(backward[1:])
+    for ratios in (left, right):
+        np.subtract(log_hops, np.log(ratios, out=ratios), out=ratios)
+    # gamma_k = forward_k + backward_k - (d_k - E), formed over the forward pivots.
+    forward += backward
+    forward -= diagonal[:, np.newaxis]
+    forward += eigenvalues
+    gamma = np.abs(forward)
+    # Freed before the densities are built, so the sweep peaks lower than eig did.
+    del pivots, pivot, forward, backward
+    density = _twisted_density(left, right, np.argmin(gamma, axis=0))
+    # The eigenvalues are sorted by (Re E, Im E): those before E_j that lie
+    # within tol of it are among first[j]..j-1, the ones within tol in Re E.
+    tol = _CLUSTER_TOL * norm
+    first = np.searchsorted(eigenvalues.real, eigenvalues.real - tol)
+    for j in np.flatnonzero(first < np.arange(eigenvalues.size)):
+        near = first[j] + np.flatnonzero(np.abs(eigenvalues[first[j]:j] - eigenvalues[j]) <= tol)
+        taken = (density[:, near] >= _EPS).any(axis=1)
+        if near.size and not taken.all():
+            twist = np.argmin(np.where(taken, np.inf, gamma[:, j]))
+            density[:, j] = _twisted_density(left[:, j, None], right[:, j, None], twist)[:, 0]
+    return np.arange(1.0, n + 1) @ density / density.sum(axis=0)
+
+
+def _twisted_density(left: np.ndarray, right: np.ndarray, twist: np.ndarray) -> np.ndarray:
+    """|z|^2 / max |z|^2 of each column's twisted vector, from the per-bond
+    log ratios of ``_band_centers`` and each column's twist site."""
+    bonds = np.arange(left.shape[0])[:, np.newaxis]
+    log_z = np.zeros((left.shape[0] + 1, left.shape[1]))
+    np.cumsum(np.where(bonds < twist, left, 0.0)[::-1], axis=0, out=log_z[-2::-1])
+    right = np.where(bonds >= twist, right, 0.0)
+    log_z[1:] += np.cumsum(right, axis=0, out=right)
+    log_z -= log_z.max(axis=0)
+    log_z *= 2.0
+    return np.exp(log_z, out=log_z)
 
 
 class EpKind(Enum):

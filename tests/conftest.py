@@ -23,6 +23,14 @@ def flagship_config(v: float, region=(109, 112), u=(0.75, 0.75)) -> LatticeConfi
     )
 
 
+def complex_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex eig of h with no real form, sorted ascending by (Re E, Im E):
+    the reference for the real form and for the eigenvalue-only sweep."""
+    eigenvalues, right = np.linalg.eig(np.asarray(h, dtype=complex))
+    order = np.lexsort((eigenvalues.imag, eigenvalues.real))
+    return eigenvalues[order], right[:, order]
+
+
 @pytest.fixture(scope="session")
 def flagship_initial():
     """Flagship chain at v/w = 0.25 with its eigensystem."""

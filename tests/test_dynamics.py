@@ -23,7 +23,7 @@ from nhssh.lattice import build_hamiltonian, hamiltonian_bands
 from nhssh.observables import bipartite_norms, default_split, site_density
 from nhssh.spectral import eigendecompose
 
-from conftest import flagship_config
+from conftest import complex_eig, flagship_config
 
 
 def small_pt_config(v: float) -> LatticeConfig:
@@ -279,8 +279,7 @@ def test_quench_table_rows_are_the_reductions_of_the_whole_states(ceiling, propa
 def test_flagship_edge_states_real_form_match_complex_route(monkeypatch):
     h = build_hamiltonian(flagship_config(0.25))
     states = edge_states(h)
-    monkeypatch.setattr(dynamics, "_sorted_eig",
-                        lambda a, pt_real=True: spectral._sorted_eig(a, pt_real=False))
+    monkeypatch.setattr(dynamics, "_sorted_eig", complex_eig)
     reference = edge_states(h)
     for side in Edge:
         assert np.max(np.abs(states[side] - reference[side])) <= 1e-12

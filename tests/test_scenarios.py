@@ -666,23 +666,30 @@ def test_every_scenario_runs_its_eig_on_one_blas_thread(scenario, tmp_path,
                                                         monkeypatch, blas_threads):
     get, _ = blas_threads
     counts = []
-    real_eig = np.linalg.eig
+    real_eig, real_eigvals = np.linalg.eig, np.linalg.eigvals
 
     def reading_eig(h):
         counts.append(get())
         return real_eig(h)
 
+    def reading_eigvals(h):
+        counts.append(get())
+        return real_eigvals(h)
+
     def failing_eig(h):
         counts.append(get())
         raise _StopAtEig
 
+    # eig decomposes the quench matrices; eigvals gives the sweeps' eigenvalues.
     monkeypatch.setattr(np.linalg, "eig", reading_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", reading_eigvals)
     run_scenario(tiny_config(scenario, tmp_path / "run"))
     assert counts and set(counts) == {1}
     assert get() == 2
 
     counts.clear()
     monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", failing_eig)
     with pytest.raises(_StopAtEig):
         run_scenario(tiny_config(scenario, tmp_path / "fail"))
     assert counts == [1]
@@ -1059,6 +1066,17 @@ def test_cli_zero_mode_tol_between_the_pair_and_the_block_mode_changes_no_byte(t
     assert cli_main([*base, "--set", "zero_mode_tol=0.05", "--out", str(tmp_path / "tol")]) == 0
     assert filecmp.cmp(tmp_path / "default" / "bipartite.csv", tmp_path / "tol" / "bipartite.csv",
                        shallow=False)
+
+
+def test_cli_run_that_exits_3_leaves_no_output_directory(tmp_path, capsys):
+    # The 20-site chain's smallest |E| is 6.3e-7: no edge state below 1e-30.
+    out = tmp_path / "out"
+    code = cli_main(["run", "--scenario", "bipartite", "--out", str(out), "--set", "n_cells=10",
+                     "--set", "region_start=9", "--set", "region_end=12", "--set", "t_max=5",
+                     "--set", "zero_mode_tol=1e-30"])
+    assert code == 3
+    assert "edge states" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("assignment, key", [

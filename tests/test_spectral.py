@@ -18,9 +18,9 @@ from nhssh.spectral import (
     spectrum_sweep,
     zero_mode_report,
 )
-from nhssh.observables import Side
+from nhssh.observables import Side, center_of_mass
 
-from conftest import flagship_config
+from conftest import complex_eig, flagship_config
 
 
 def dimer_config(v: float, u_re=0.75, u_im=0.75) -> LatticeConfig:
@@ -184,7 +184,7 @@ def test_pt_real_form_matches_complex_eig(v, monkeypatch):
 
 @pytest.mark.parametrize("v", REAL_FORM_RATIOS)
 def test_pt_real_form_conjugate_pairs_are_exact(v):
-    eigenvalues, _ = _sorted_eig(build_hamiltonian(flagship_config(v)), pt_real=True)
+    eigenvalues, _ = _sorted_eig(build_hamiltonian(flagship_config(v)))
     lower = np.flatnonzero(eigenvalues.imag < 0)
     assert lower.size > 0
     assert np.count_nonzero(eigenvalues.imag > 0) == lower.size
@@ -222,8 +222,8 @@ def test_pt_real_form_falls_back_to_complex_eig(monkeypatch):
     assert is_pt_matrix(build_hamiltonian(flagship_config(1.5)))
     for h in (broken, broken_gain_loss, perturbed):
         assert not is_pt_matrix(h)
-        eigenvalues, right = _sorted_eig(h, pt_real=True)
-        reference_eigenvalues, reference_right = _sorted_eig(h, pt_real=False)
+        eigenvalues, right = _sorted_eig(h)
+        reference_eigenvalues, reference_right = complex_eig(h)
         assert np.array_equal(eigenvalues, reference_eigenvalues)
         assert np.array_equal(right, reference_right)
     assert dtypes == [np.dtype(complex)] * 6
@@ -250,8 +250,68 @@ def test_sweep_rows_ordering_and_determinism():
 
 def test_sweep_eigenvalues_match_eigendecompose():
     sweep = spectrum_sweep(flagship_config(0.25), [1.125])
-    eigenvalues, _ = _sorted_eig(build_hamiltonian(flagship_config(1.125)), pt_real=False)
+    eigenvalues, _ = complex_eig(build_hamiltonian(flagship_config(1.125)))
     assert np.array_equal(sweep.eigenvalues[0], eigenvalues)
+
+
+# The four criterion blocks of the acceptance suite and its off-centre placement.
+CRITERION_BLOCKS = [((109, 112), (0.75, 0.75)), ((109, 112), (0.75, 1.0)),
+                    ((109, 112), (0.75, 0.25)), ((109, 112), (0.0, 0.75)),
+                    ((107, 110), (0.75, 0.75))]
+
+
+@pytest.mark.parametrize("region, u", CRITERION_BLOCKS)
+def test_sweep_centers_match_complex_eig_vectors(region, u):
+    grid = [0.4, 1.125, 1.5]
+    sweep = spectrum_sweep(flagship_config(0.25, region=region, u=u), grid)
+    for g, ratio in enumerate(grid):
+        h = build_hamiltonian(flagship_config(ratio, region=region, u=u))
+        norm = np.linalg.norm(h, 1)
+        eigenvalues, right = complex_eig(h)
+        # Above 75 sites eigvals and eig may order a pair differently.
+        match = _greedy_match(eigenvalues, sweep.eigenvalues[g])
+        assert np.max(np.abs(sweep.eigenvalues[g] - eigenvalues[match])) <= 1e-12 * norm
+        distance = np.abs(eigenvalues[:, np.newaxis] - eigenvalues)
+        np.fill_diagonal(distance, np.inf)
+        separation = distance.min(axis=1)[match] / norm
+        error = np.abs(sweep.com[g] - center_of_mass(right)[match])
+        # A center of a near-degenerate eigenvalue depends on the chosen basis.
+        assert error[separation > 1e-3].max() <= 1e-8
+        assert error[separation > 1e-5].max() <= 1e-6
+
+
+@pytest.mark.parametrize("grid", [[0.5, 1.0, 1.5], [1.125, 1.5]])
+def test_sweep_on_the_golden_grids_is_complex_eig_bit_for_bit(grid):
+    """Below order 75, where LAPACK switches to multishift QR, eigenvalue-only
+    zgeev returns the bits of zgeev with vectors: the 20-site goldens of
+    ``spectrum`` and ``reshuffle`` keep the pair order they pin."""
+    template = LatticeConfig(n_cells=10, v=0.1, region_start=9, region_end=12,
+                             u_re=0.75, u_im=0.75)
+    sweep = spectrum_sweep(template, grid)
+    for g, ratio in enumerate(grid):
+        eigenvalues, right = complex_eig(build_hamiltonian(template.with_v(ratio)))
+        assert sweep.eigenvalues[g].tobytes() == eigenvalues.tobytes()
+        np.testing.assert_allclose(sweep.com[g], center_of_mass(right), rtol=0, atol=1e-11)
+
+
+def test_sweep_puts_the_zero_modes_on_opposite_edges():
+    # Their splitting is far below rounding: each is an edge state or a mix.
+    grid = [0.1, 0.3, 0.5]
+    sweep = spectrum_sweep(flagship_config(0.25), grid)
+    for g in range(len(grid)):
+        pair = np.argsort(np.abs(sweep.eigenvalues[g]))[:2]
+        assert sorted(side.value for side in sweep.side[g][pair]) == ["left", "right"]
+
+
+def test_sweep_through_v_zero_cuts_the_chain_without_a_warning():
+    # At v = 0 sites 1 and 220 are cut off: each holds an exact zero eigenvalue.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sweep = spectrum_sweep(flagship_config(0.25), [0.0, 0.1, 0.2])
+    assert np.all(np.isfinite(sweep.com))
+    assert sweep.com.min() >= 1.0 and sweep.com.max() <= 220.0
+    pair = np.argsort(np.abs(sweep.eigenvalues[0]))[:2]
+    assert sorted(sweep.com[0][pair]) == [1.0, 220.0]
 
 
 def test_sweep_rejects_bad_grid():
