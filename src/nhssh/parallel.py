@@ -35,10 +35,12 @@ def thread_count() -> int:
 
 
 @functools.cache
-def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """(get, set) of the thread count of numpy's OpenBLAS, or None if not exported.
+def openblas_functions(*names: str) -> tuple[tuple, type] | None:
+    """numpy's OpenBLAS functions of these names and the ctypes type of its
+    Fortran integers, or None unless it exports them all.
 
-    dlsym on numpy's linalg extension also searches the libraries it links.
+    A LAPACK name carries its Fortran underscore ("zgebal_"). dlsym on numpy's
+    linalg extension also searches the libraries it links.
     """
     import ctypes
 
@@ -49,16 +51,27 @@ def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     except (AttributeError, OSError):
         return None
     # numpy 2.x wheels bundle scipy-openblas with 64-bit integers: try that first.
-    for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+    for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
         try:
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            functions = tuple(getattr(lib, f"{prefix}{name}{suffix}") for name in names)
         except AttributeError:
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        return functions, ctypes.c_int64 if suffix else ctypes.c_int
     return None
+
+
+@functools.cache
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of numpy's OpenBLAS, or None if not exported."""
+    import ctypes
+
+    found = openblas_functions("openblas_get_num_threads", "openblas_set_num_threads")
+    if found is None:
+        return None
+    (get, set_), _ = found
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 @contextmanager

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nhssh import config, dynamics, scenarios
+from nhssh import config, dynamics, scenarios, spectral
 from nhssh.cli import main as cli_main
 from nhssh.config import (
     SCENARIO_KEYS,
@@ -666,7 +666,7 @@ def test_every_scenario_runs_its_eig_on_one_blas_thread(scenario, tmp_path,
                                                         monkeypatch, blas_threads):
     get, _ = blas_threads
     counts = []
-    real_eig, real_eigvals = np.linalg.eig, np.linalg.eigvals
+    real_eig, real_eigvals = np.linalg.eig, spectral._eigvals
 
     def reading_eig(h):
         counts.append(get())
@@ -680,16 +680,16 @@ def test_every_scenario_runs_its_eig_on_one_blas_thread(scenario, tmp_path,
         counts.append(get())
         raise _StopAtEig
 
-    # eig decomposes the quench matrices; eigvals gives the sweeps' eigenvalues.
+    # eig decomposes the quench matrices; _eigvals gives the sweeps' eigenvalues.
     monkeypatch.setattr(np.linalg, "eig", reading_eig)
-    monkeypatch.setattr(np.linalg, "eigvals", reading_eigvals)
+    monkeypatch.setattr(spectral, "_eigvals", reading_eigvals)
     run_scenario(tiny_config(scenario, tmp_path / "run"))
     assert counts and set(counts) == {1}
     assert get() == 2
 
     counts.clear()
     monkeypatch.setattr(np.linalg, "eig", failing_eig)
-    monkeypatch.setattr(np.linalg, "eigvals", failing_eig)
+    monkeypatch.setattr(spectral, "_eigvals", failing_eig)
     with pytest.raises(_StopAtEig):
         run_scenario(tiny_config(scenario, tmp_path / "fail"))
     assert counts == [1]

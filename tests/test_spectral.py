@@ -250,8 +250,89 @@ def test_sweep_rows_ordering_and_determinism():
 
 def test_sweep_eigenvalues_match_eigendecompose():
     sweep = spectrum_sweep(flagship_config(0.25), [1.125])
-    eigenvalues, _ = complex_eig(build_hamiltonian(flagship_config(1.125)))
-    assert np.array_equal(sweep.eigenvalues[0], eigenvalues)
+    h = build_hamiltonian(flagship_config(1.125))
+    eigenvalues, _ = complex_eig(h)
+    # Above order 75 the two solvers may order a pair differently.
+    match = _greedy_match(eigenvalues, sweep.eigenvalues[0])
+    error = np.max(np.abs(sweep.eigenvalues[0] - eigenvalues[match]))
+    assert error <= 1e-12 * np.linalg.norm(h, 1)
+
+
+def test_eigvals_below_order_75_is_zgeev_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for n in range(1, 75):
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # Balancing isolates every eigenvalue of a triangular h.
+        for m in (h, np.triu(h)):
+            assert spectral._eigvals(m).tobytes() == np.linalg.eigvals(m).tobytes()
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.4, 1.125, 1.9])
+def test_eigvals_matches_zgeev_at_flagship(ratio):
+    # At v = 0 balancing isolates sites 1 and 220.
+    h = build_hamiltonian(flagship_config(ratio))
+    eigenvalues, reference = spectral._eigvals(h), np.linalg.eigvals(h)
+    match = _greedy_match(reference, eigenvalues)
+    assert np.max(np.abs(eigenvalues - reference[match])) <= 1e-12 * np.linalg.norm(h, 1)
+
+
+def test_eigvals_falls_back_to_zgeev(monkeypatch):
+    h = np.random.default_rng(7).standard_normal((12, 12)) * (1 + 1j)
+    zgeev, calls = object(), []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or zgeev)
+    zgebal, zgehrd, zlahqr, index = spectral._lapack()
+
+    def failing_zlahqr(*args):
+        zlahqr(*args)
+        args[-1].value = 1
+
+    def falls_back(m):
+        return spectral._eigvals(m) is zgeev and calls.pop() is m and not calls
+
+    assert spectral._eigvals(h).shape == (12,) and not calls
+    # Where zgeev would rescale h, and where zlahqr does not converge.
+    assert falls_back(h * 1e-150) and falls_back(h * 1e150)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_lapack", lambda: (zgebal, zgehrd, failing_zlahqr, index))
+        assert falls_back(h)
+    # Above the crossover order, and where numpy's OpenBLAS lacks the routines.
+    monkeypatch.setattr(spectral, "_ZLAHQR_MAX_ORDER", 11)
+    assert falls_back(h)
+    monkeypatch.setattr(spectral, "_ZLAHQR_MAX_ORDER", 12)
+    assert spectral._eigvals(h) is not zgeev
+    monkeypatch.setattr(spectral, "_lapack", lambda: None)
+    assert falls_back(h)
+
+
+def test_sweep_keeps_the_mirror_and_sublattice_symmetries():
+    # M H(u_re, u_im) M = H(u_re, -u_im) with M the site flip, and
+    # G H(u_re, u_im) G = -H(-u_re, u_im)* with G = +1 on A and -1 on B sites.
+    grid, n = [0.4, 0.8, 1.125, 1.5, 1.9], 220
+    sweep = spectrum_sweep(flagship_config(0.25), grid)
+    partners = [
+        (spectrum_sweep(flagship_config(0.25, u=(0.75, -0.75)), grid), lambda e: e, n + 1.0, -1),
+        (spectrum_sweep(flagship_config(0.25, u=(-0.75, 0.75)), grid), lambda e: -e.conj(), 0.0, 1),
+    ]
+    roundoff = np.finfo(float).eps / 2
+    # A backward-stable eigensolver errs by about n u ||H||_1 per run; the
+    # factor covers both runs and eigenvalue condition numbers up to five.
+    safety = 10
+    for g, ratio in enumerate(grid):
+        norm = np.linalg.norm(build_hamiltonian(flagship_config(ratio)), 1)
+        eigenvalue_bound = safety * n * roundoff * norm
+        # An eigenvector whose nearest eigenvalue lies delta away moves by about
+        # the eigenvalue error / delta, and a center of mass of n sites by up to
+        # n times that; only delta > 1e-3 ||H||_1 is checked.
+        com_bound = n * eigenvalue_bound / (1e-3 * norm)
+        distance = np.abs(sweep.eigenvalues[g][:, np.newaxis] - sweep.eigenvalues[g])
+        np.fill_diagonal(distance, np.inf)
+        isolated = distance.min(axis=1) > 1e-3 * norm
+        for partner, image, offset, sign in partners:
+            eigenvalues = image(partner.eigenvalues[g])
+            match = _greedy_match(eigenvalues, sweep.eigenvalues[g])
+            assert np.max(np.abs(sweep.eigenvalues[g] - eigenvalues[match])) <= eigenvalue_bound
+            com = offset + sign * partner.com[g][match]
+            assert np.max(np.abs(sweep.com[g] - com)[isolated]) <= com_bound
 
 
 # The four criterion blocks of the acceptance suite and its off-centre placement.
