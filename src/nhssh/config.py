@@ -82,6 +82,9 @@ class LatticeConfig:
     def __post_init__(self) -> None:
         if self.n_cells < 1:
             raise ConfigError(f"n_cells must be >= 1, got {self.n_cells}")
+        for key in ("v", "w", "u_re", "u_im"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.v < 0:
             raise ConfigError(f"v must be >= 0, got {self.v}")
         if self.w <= 0:
@@ -175,6 +178,16 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} must exceed twice the float spacing at the "
                                   f"last grid point, got {step} for {start}..{stop}")
         scenario_lattice(self, 0.0)
+        # The hopping v = (v/w) * w at each ratio read; a grid's first and
+        # last points bound the rest.
+        ratios = {key: values[key] for key in ("v_initial", "v_final", "v_grid_start")
+                  if key in values}
+        if "v_grid_step" in keys:
+            start, stop, step = spans["v_grid_step"]
+            ratios["v_grid_stop"] = start + (_grid_count(start, stop, step) - 1) * step
+        for key, ratio in ratios.items():
+            if not math.isfinite(ratio * self.w):
+                raise ConfigError(f"{key} * w must be finite, got {ratio} * {self.w}")
 
 
 # Each key's annotation as written ("int", "float | None", "str", ...): the

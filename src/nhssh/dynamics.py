@@ -26,7 +26,7 @@ import numpy as np
 from .config import DEFAULT_ZERO_MODE_TOL, LatticeConfig
 from .lattice import build_hamiltonian
 from .observables import site_density
-from .spectral import Eigensystem, _sorted_eig, eigendecompose
+from .spectral import Eigensystem, _checked, _sorted_eig, eigendecompose
 
 __all__ = [
     "Edge",
@@ -271,9 +271,7 @@ def evolve_propagator(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Tra
     only a dyadic dt costs one matrix exponential (dt = 0.2 to t = 500 has 12
     distinct steps). Times are checked as QuenchSpec does.
     """
-    h = np.asarray(h, dtype=complex)
-    if not np.all(np.isfinite(h.view(float))):
-        raise ValueError("matrix entries must be finite")
+    h = _checked(h)
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (h.shape[0],):
         raise ValueError(f"psi0 has shape {psi.shape}, expected ({h.shape[0]},)")

@@ -39,7 +39,7 @@ def openblas_functions(*names: str) -> tuple[tuple, type] | None:
     """numpy's OpenBLAS functions of these names and the ctypes type of its
     Fortran integers, or None unless it exports them all.
 
-    A LAPACK name carries its Fortran underscore ("zgebal_"). dlsym on numpy's
+    A LAPACK name carries its Fortran underscore ("zlahqr_"). dlsym on numpy's
     linalg extension also searches the libraries it links.
     """
     import ctypes

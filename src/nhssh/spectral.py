@@ -151,10 +151,9 @@ def spectrum_sweep(
     """Eigenvalues, centers of mass and side classes across a v/w grid.
 
     Grid entries are ratios v/w; the template's hoppings other than v are kept.
-    Each point takes its eigenvalues from the dense H by zgeev's
-    eigenvalue-only path with its small-matrix QR (``_eigvals``), sorted
-    ascending by (Re E, Im E), and its centers of mass from the bands of H
-    (``_band_centers``): no eigenvector matrix is formed.
+    Each point takes its eigenvalues from one zlahqr call on the dense H
+    (``_eigvals``), sorted ascending by (Re E, Im E), and its centers of mass
+    from the bands of H (``_band_centers``): no eigenvector matrix is formed.
     The grid points run on NHSSH_THREADS worker threads (``thread_count``).
     """
     grid = [float(r) for r in v_grid]
@@ -166,7 +165,7 @@ def spectrum_sweep(
 
     def at(ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         config = template.with_v(ratio * template.w)
-        eigenvalues = _eigvals(build_hamiltonian(config))
+        eigenvalues = _eigvals(config)
         eigenvalues = eigenvalues[np.lexsort((eigenvalues.imag, eigenvalues.real))]
         com = _band_centers(*hamiltonian_bands(config), eigenvalues)
         return eigenvalues, com, classify_side(com, center, threshold)
@@ -184,72 +183,60 @@ def spectrum_sweep(
 _CLUSTER_TOL = 1e-12
 _EPS = np.finfo(float).eps
 # zgeev runs zlahqr, the small-bulge QR, up to order 75 and multishift QR
-# above it; on these chains zlahqr is the faster of the two up to about order
-# 600, and this is that break-even rounded down.
-_ZLAHQR_MAX_ORDER = 500
+# above it; on these chains zlahqr alone is the faster of the two up to about
+# order 680, and this is that break-even rounded down.
+_ZLAHQR_MAX_ORDER = 600
 # zgeev rescales an H whose largest |h_ij| is nonzero and below this or above
 # its inverse.
 _UNSCALED_MIN = np.sqrt(np.finfo(float).tiny) / _EPS
 
 
-def _eigvals(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the square finite h: ``np.linalg.eigvals(h)``'s bits up
-    to order 75, and faster than it up to ``_ZLAHQR_MAX_ORDER``.
+def _eigvals(config: LatticeConfig) -> np.ndarray:
+    """Eigenvalues of the chain's H from one zlahqr call: for v > 0
+    ``np.linalg.eigvals``' bits up to order 75, and faster than it up to
+    ``_ZLAHQR_MAX_ORDER``.
 
-    These are zgeev's eigenvalue-only steps: balancing (zgebal 'B'),
-    Hessenberg reduction (zgehrd), the diagonal as the eigenvalues that
-    balancing isolates (zhseqr's copy), then zlahqr on rows ilo..ihi, which
-    zgeev too runs up to order 75; above it zgeev runs multishift QR with
-    aggressive early deflation (Braman, Byers & Mathias, SIAM J. Matrix Anal.
-    Appl. 23, 929 and 948 (2002)), which pays only on larger matrices.
-    Above ``_ZLAHQR_MAX_ORDER``, without the LAPACK symbols, where zgeev
-    would rescale h, or where zlahqr does not converge (zhseqr then runs its
-    own rescue), this is ``np.linalg.eigvals(h)``.
+    zgeev balances H, reduces it to Hessenberg form, then runs zlahqr up to
+    order 75 and multishift QR above it (Braman, Byers & Mathias, SIAM J.
+    Matrix Anal. Appl. 23, 929 and 948 (2002)), which pays only on larger
+    matrices. Its first two steps leave this H as it is: H is tridiagonal and
+    equal to its transpose, with real hoppings, so balancing finds equal row
+    and column norms and, for v > 0, no site to isolate. At v = 0 zlahqr
+    deflates the cut ends itself. Above ``_ZLAHQR_MAX_ORDER``, without the
+    LAPACK symbol, where zgeev would rescale H, or where zlahqr does not
+    converge, this is ``np.linalg.eigvals(H)``.
     """
-    h = _checked(h)
+    h = _checked(build_hamiltonian(config))
     n = h.shape[0]
-    largest = np.abs(h).max(initial=0.0)
+    largest = np.abs(h).max()
     lapack = _lapack() if n <= _ZLAHQR_MAX_ORDER else None
     if lapack is None or 0 < largest < _UNSCALED_MIN or largest > 1 / _UNSCALED_MIN:
         return np.linalg.eigvals(h)
-    zgebal, zgehrd, zlahqr, index = lapack
-    a = np.array(h, dtype=complex, order="F")
-    order, low, high, info = index(n), index(), index(), index()
-    scale, tau, query = np.empty(n), np.empty(n, dtype=complex), np.empty(1, dtype=complex)
-    zgebal(b"B", order, a.ctypes.data, order, low, high, scale.ctypes.data, info, 1)
-    zgehrd(order, low, high, a.ctypes.data, order, tau.ctypes.data, query.ctypes.data,
-           index(-1), info)
-    # zgehrd refuses a workspace below n, even where its query asks for less.
-    work = np.empty(max(int(query[0].real), n), dtype=complex)
-    zgehrd(order, low, high, a.ctypes.data, order, tau.ctypes.data, work.ctypes.data,
-           index(work.size), info)
-    # zlahqr overwrites entries ilo..ihi; the rest are the isolated eigenvalues.
-    eigenvalues = a.diagonal().copy()
-    false = index(0)
-    zlahqr(false, false, order, low, high, a.ctypes.data, order, eigenvalues.ctypes.data,
-           low, high, None, order, info)
+    zlahqr, index = lapack
+    # H = H^T, so the C-order copy is H in Fortran layout.
+    a, eigenvalues = h.copy(), np.empty(n, dtype=complex)
+    false, first, order, info = index(0), index(1), index(n), index()
+    zlahqr(false, false, order, first, order, a.ctypes.data, order, eigenvalues.ctypes.data,
+           first, order, None, order, info)
     return np.linalg.eigvals(h) if info.value > 0 else eigenvalues
 
 
 @functools.cache
 def _lapack() -> tuple | None:
-    """(zgebal, zgehrd, zlahqr, integer type) of numpy's OpenBLAS, bound on
-    the first call, or None if it does not export them."""
+    """(zlahqr, integer type) of numpy's OpenBLAS, bound on the first call, or
+    None if it does not export it."""
     import ctypes
 
-    found = openblas_functions("zgebal_", "zgehrd_", "zlahqr_")
+    found = openblas_functions("zlahqr_")
     if found is None:
         return None
-    (zgebal, zgehrd, zlahqr), index = found
+    (zlahqr,), index = found
     ref, array = ctypes.POINTER(index), ctypes.c_void_p
-    # Fortran passes every argument by reference; a CHARACTER also passes its
-    # length by value, last. zlahqr's two LOGICAL flags are read as 0, false.
-    zgebal.argtypes = [ctypes.c_char_p, ref, array, ref, ref, ref, array, ref, ctypes.c_size_t]
-    zgehrd.argtypes = [ref, ref, ref, array, ref, array, array, ref, ref]
+    # Fortran passes every argument by reference; the two LOGICAL flags are
+    # read as 0, false.
     zlahqr.argtypes = [ref, ref, ref, ref, ref, array, ref, array, ref, ref, array, ref, ref]
-    for routine in (zgebal, zgehrd, zlahqr):
-        routine.restype = None
-    return zgebal, zgehrd, zlahqr, index
+    zlahqr.restype = None
+    return zlahqr, index
 
 
 def _band_centers(

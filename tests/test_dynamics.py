@@ -357,6 +357,13 @@ def test_evolution_routes_reject_a_non_finite_matrix_or_a_misshapen_state():
             evolve_spectral(es, psi, [1.0])
 
 
+def test_propagator_refuses_a_matrix_that_is_not_square():
+    psi0 = np.eye(4, dtype=complex)[0]
+    for shape in ((4, 5), (4, 4, 1)):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            evolve_propagator(np.zeros(shape), psi0, [1.0])
+
+
 def test_trajectory_densities_match_states():
     h = build_hamiltonian(small_pt_config(1.1))
     psi0 = initial_edge_state(build_hamiltonian(small_pt_config(0.25)), Edge.LEFT)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhssh.config import ConfigError
 from nhssh.lattice import (
     LatticeConfig,
     build_hamiltonian,
@@ -207,3 +210,12 @@ def test_chiral_symmetry_of_pure_chain(n_cells, v):
 def test_config_validation_names_offending_field(kwargs, key):
     with pytest.raises(ValueError, match=key):
         LatticeConfig(**kwargs)
+
+
+@pytest.mark.parametrize("key", ["v", "w", "u_re", "u_im"])
+def test_config_refuses_non_finite_hoppings_and_potentials(key):
+    for value in (math.inf, math.nan):
+        kwargs = dict(n_cells=4, v=0.5, region_start=3, region_end=4)
+        kwargs[key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            LatticeConfig(**kwargs)

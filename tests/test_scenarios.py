@@ -841,6 +841,34 @@ def test_cli_grid_of_more_than_a_million_points_exit_code(scenario, sets, key, t
     assert not out.exists()
 
 
+# Each key is finite, but v = (v/w) * w overflows at a v/w the scenario reads:
+# the last grid point of the ratio sweep is 1 + 18000 * 1e303.
+@pytest.mark.parametrize("scenario, sets, key", [
+    ("lightcone", ["v_initial=1e308"], "v_initial"),
+    ("bipartite", ["v_final=1e308"], "v_final"),
+    ("spectrum", ["v_grid_start=1e308", "v_grid_stop=1e308"], "v_grid_start"),
+    ("ratio-sweep", ["v_grid_stop=1.8e307", "v_grid_step=1e303"], "v_grid_stop"),
+])
+def test_cli_overflowing_hopping_exit_code(scenario, sets, key, tmp_path, capsys,
+                                          monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("run_scenario called")
+
+    monkeypatch.setattr(scenarios, "run_scenario", no_run)
+    sets = ["w=10", *sets]
+    config_file = tmp_path / "case.cfg"
+    config_file.write_text("".join(f"{item}\n" for item in [f"scenario={scenario}", *sets]))
+    assert cli_main(["validate", "--config", str(config_file)]) == 2
+    assert f"{key} * w must be finite" in capsys.readouterr().err
+    out = tmp_path / "out"
+    args = ["run", "--scenario", scenario, "--out", str(out)]
+    for item in sets:
+        args += ["--set", item]
+    assert cli_main(args) == 2
+    assert f"{key} * w must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_unreadable_config_exit_code(tmp_path, capsys):
     code = cli_main(["run", "--scenario", "spectrum",
                      "--config", str(tmp_path / "missing.cfg")])

@@ -258,50 +258,68 @@ def test_sweep_eigenvalues_match_eigendecompose():
     assert error <= 1e-12 * np.linalg.norm(h, 1)
 
 
+def random_chain(rng, n_cells: int, v: float) -> LatticeConfig:
+    start = int(rng.integers(1, 2 * n_cells + 1))
+    return LatticeConfig(n_cells=n_cells, v=v, w=float(rng.uniform(0.2, 3.0)),
+                         region_start=start, region_end=int(rng.integers(start, 2 * n_cells + 1)),
+                         u_re=float(rng.normal()), u_im=float(rng.normal()))
+
+
 def test_eigvals_below_order_75_is_zgeev_bit_for_bit():
-    rng = np.random.default_rng(31)
-    for n in range(1, 75):
-        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        # Balancing isolates every eigenvalue of a triangular h.
-        for m in (h, np.triu(h)):
-            assert spectral._eigvals(m).tobytes() == np.linalg.eigvals(m).tobytes()
+    rng = np.random.default_rng(32)
+    for n_cells in np.repeat(np.arange(2, 38), 3):
+        chain = random_chain(rng, int(n_cells), float(rng.uniform(0.01, 3.0)))
+        reference = np.linalg.eigvals(build_hamiltonian(chain))
+        assert spectral._eigvals(chain).tobytes() == reference.tobytes()
+    # At v = 0 zgeev's balancing isolates the cut ends, which zlahqr deflates
+    # itself: the same values, but a pair may come out in the other order.
+    for n_cells in (2, 10, 37):
+        chain = random_chain(rng, n_cells, 0.0)
+        h = build_hamiltonian(chain)
+        eigenvalues, reference = spectral._eigvals(chain), np.linalg.eigvals(h)
+        match = _greedy_match(reference, eigenvalues)
+        assert np.max(np.abs(eigenvalues - reference[match])) <= 1e-12 * np.linalg.norm(h, 1)
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.4, 1.125, 1.9])
 def test_eigvals_matches_zgeev_at_flagship(ratio):
-    # At v = 0 balancing isolates sites 1 and 220.
+    # At v = 0 zgeev's balancing isolates sites 1 and 220; zlahqr deflates them.
     h = build_hamiltonian(flagship_config(ratio))
-    eigenvalues, reference = spectral._eigvals(h), np.linalg.eigvals(h)
+    eigenvalues, reference = spectral._eigvals(flagship_config(ratio)), np.linalg.eigvals(h)
     match = _greedy_match(reference, eigenvalues)
     assert np.max(np.abs(eigenvalues - reference[match])) <= 1e-12 * np.linalg.norm(h, 1)
 
 
 def test_eigvals_falls_back_to_zgeev(monkeypatch):
-    h = np.random.default_rng(7).standard_normal((12, 12)) * (1 + 1j)
+    def chain(scale=1.0):
+        return LatticeConfig(n_cells=6, v=0.5 * scale, w=scale, region_start=5, region_end=8,
+                             u_re=0.75 * scale, u_im=0.75 * scale)
+
     zgeev, calls = object(), []
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or zgeev)
-    zgebal, zgehrd, zlahqr, index = spectral._lapack()
+    zlahqr, index = spectral._lapack()
 
     def failing_zlahqr(*args):
         zlahqr(*args)
         args[-1].value = 1
 
-    def falls_back(m):
-        return spectral._eigvals(m) is zgeev and calls.pop() is m and not calls
+    def falls_back(config):
+        return (spectral._eigvals(config) is zgeev
+                and np.array_equal(calls.pop(), build_hamiltonian(config)) and not calls)
 
-    assert spectral._eigvals(h).shape == (12,) and not calls
-    # Where zgeev would rescale h, and where zlahqr does not converge.
-    assert falls_back(h * 1e-150) and falls_back(h * 1e150)
+    assert spectral._eigvals(chain()).shape == (12,) and not calls
+    # Where zgeev would rescale H, and where zlahqr does not converge.
+    assert falls_back(chain(1e-150)) and falls_back(chain(1e150))
     with monkeypatch.context() as patch:
-        patch.setattr(spectral, "_lapack", lambda: (zgebal, zgehrd, failing_zlahqr, index))
-        assert falls_back(h)
-    # Above the crossover order, and where numpy's OpenBLAS lacks the routines.
+        patch.setattr(spectral, "_lapack", lambda: (failing_zlahqr, index))
+        assert falls_back(chain())
+    # Above the crossover order, and where numpy's OpenBLAS lacks the routine.
     monkeypatch.setattr(spectral, "_ZLAHQR_MAX_ORDER", 11)
-    assert falls_back(h)
+    assert falls_back(chain())
     monkeypatch.setattr(spectral, "_ZLAHQR_MAX_ORDER", 12)
-    assert spectral._eigvals(h) is not zgeev
+    assert spectral._eigvals(chain()) is not zgeev
     monkeypatch.setattr(spectral, "_lapack", lambda: None)
-    assert falls_back(h)
+    assert falls_back(chain())
 
 
 def test_sweep_keeps_the_mirror_and_sublattice_symmetries():
