@@ -185,9 +185,16 @@ class ScenarioConfig:
         if "v_grid_step" in keys:
             start, stop, step = spans["v_grid_step"]
             ratios["v_grid_stop"] = start + (_grid_count(start, stop, step) - 1) * step
+        # The sweeps' centres of mass square the hoppings and form pivots from
+        # the diagonal: each band entry of H must have a finite square.
+        entries = {"w": self.w, "u_re": self.u_re, "u_im": self.u_im}
         for key, ratio in ratios.items():
             if not math.isfinite(ratio * self.w):
                 raise ConfigError(f"{key} * w must be finite, got {ratio} * {self.w}")
+            entries[f"({key} * w)"] = ratio * self.w
+        for key, value in entries.items():
+            if not math.isfinite(value * value):
+                raise ConfigError(f"{key}**2 must be finite, got {value}")
 
 
 # Each key's annotation as written ("int", "float | None", "str", ...): the

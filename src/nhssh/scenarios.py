@@ -14,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .bands import evolve_chebyshev
 # perfbench/test_perfbench.py reads parse_config from here.
 from .config import ScenarioConfig, _grid, parse_config, scenario_lattice, scenario_v_grid
-from .dynamics import Edge, QuenchSpec, _quench_tables, edge_states, evolve_chebyshev
+from .dynamics import Edge, QuenchSpec, _quench_tables, edge_states
 from .lattice import build_hamiltonian, hamiltonian_bands
 from .observables import bipartite_norms, default_split, site_density
 from .parallel import _one_blas_thread

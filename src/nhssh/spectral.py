@@ -10,6 +10,7 @@ from enum import Enum
 
 import numpy as np
 
+from .bands import _EPS, _band_centers
 from .config import DEFAULT_SIDE_THRESHOLD, LatticeConfig
 from .lattice import build_hamiltonian, hamiltonian_bands, is_pt_matrix
 from .observables import classify_side, reference_center
@@ -179,9 +180,6 @@ def spectrum_sweep(
     )
 
 
-# Eigenvalues closer than this, relative to ||H||_1, are numerically equal.
-_CLUSTER_TOL = 1e-12
-_EPS = np.finfo(float).eps
 # zgeev runs zlahqr, the small-bulge QR, up to order 75 and multishift QR
 # above it; on these chains zlahqr alone is the faster of the two up to about
 # order 680, and this is that break-even rounded down.
@@ -237,84 +235,6 @@ def _lapack() -> tuple | None:
     zlahqr.argtypes = [ref, ref, ref, ref, ref, array, ref, array, ref, ref, array, ref, ref]
     zlahqr.restype = None
     return zlahqr, index
-
-
-def _band_centers(
-    diagonal: np.ndarray, off_diagonal: np.ndarray, eigenvalues: np.ndarray
-) -> np.ndarray:
-    """Center of mass of the eigenvector of each eigenvalue of the complex
-    symmetric tridiagonal H with these bands, in O(n) work per eigenvalue.
-
-    For each eigenvalue E, the forward and backward pivots of H - E (its
-    LDL^T factorizations started at the first and at the last site) give
-    gamma_k, and the vector z with z_r = 1 at the twist r where |gamma| is
-    smallest solves (H - E) z = gamma_r e_r (Parlett & Dhillon, Linear Algebra
-    Appl. 267, 247 (1997)). log|z| is summed outward from r, so |z|^2 cannot
-    overflow and a zero hopping cuts the chain; a pivot that is exactly zero
-    becomes eps^2 ||H||_1. Within a cluster of numerically equal eigenvalues
-    (``_CLUSTER_TOL``), where the vectors are a choice of basis, each member
-    takes its twist, where it can, outside the sites where an earlier
-    member's density reaches eps of its peak: the two zero modes of the
-    topological phase land on opposite edges.
-    """
-    n = diagonal.size
-    hops = np.abs(off_diagonal)
-    norm = float(np.max(np.abs(diagonal) + np.append(hops, 0.0) + np.append(0.0, hops)))
-    # pivots[0, k] is the forward pivot of site k, pivots[1, k] the backward
-    # pivot of site n - 1 - k, each computed in place over its diagonal entry
-    # of H - E.
-    pivots = np.empty((2, n, eigenvalues.size), dtype=complex)
-    np.subtract(diagonal[:, np.newaxis], eigenvalues, out=pivots[0])
-    pivots[1] = pivots[0, ::-1]
-    squares = np.square(off_diagonal)
-    squares = np.stack((squares, squares[::-1]))[..., np.newaxis]
-    quotient = np.empty((2, eigenvalues.size), dtype=complex)
-    floor = _EPS * _EPS * norm
-    for k in range(n - 1):
-        pivot = pivots[:, k]
-        pivot[pivot == 0] = floor
-        np.divide(squares[:, k], pivot, out=quotient)
-        pivots[:, k + 1] -= quotient
-    forward, backward = pivots[0], pivots[1, ::-1]
-    with np.errstate(divide="ignore"):
-        log_hops = np.log(hops)[:, np.newaxis]
-    # Left of the twist z_k = -b_k z_{k+1} / forward_k, right of it
-    # z_k = -b_{k-1} z_{k-1} / backward_k: one log|ratio| per bond.
-    left, right = np.abs(forward[:-1]), np.abs(backward[1:])
-    for ratios in (left, right):
-        np.subtract(log_hops, np.log(ratios, out=ratios), out=ratios)
-    # gamma_k = forward_k + backward_k - (d_k - E), formed over the forward pivots.
-    forward += backward
-    forward -= diagonal[:, np.newaxis]
-    forward += eigenvalues
-    gamma = np.abs(forward)
-    # Freed before the densities are built, so the sweep peaks lower than eig did.
-    del pivots, pivot, forward, backward
-    density = _twisted_density(left, right, np.argmin(gamma, axis=0))
-    # The eigenvalues are sorted by (Re E, Im E): those before E_j that lie
-    # within tol of it are among first[j]..j-1, the ones within tol in Re E.
-    tol = _CLUSTER_TOL * norm
-    first = np.searchsorted(eigenvalues.real, eigenvalues.real - tol)
-    for j in np.flatnonzero(first < np.arange(eigenvalues.size)):
-        near = first[j] + np.flatnonzero(np.abs(eigenvalues[first[j]:j] - eigenvalues[j]) <= tol)
-        taken = (density[:, near] >= _EPS).any(axis=1)
-        if near.size and not taken.all():
-            twist = np.argmin(np.where(taken, np.inf, gamma[:, j]))
-            density[:, j] = _twisted_density(left[:, j, None], right[:, j, None], twist)[:, 0]
-    return np.arange(1.0, n + 1) @ density / density.sum(axis=0)
-
-
-def _twisted_density(left: np.ndarray, right: np.ndarray, twist: np.ndarray) -> np.ndarray:
-    """|z|^2 / max |z|^2 of each column's twisted vector, from the per-bond
-    log ratios of ``_band_centers`` and each column's twist site."""
-    bonds = np.arange(left.shape[0])[:, np.newaxis]
-    log_z = np.zeros((left.shape[0] + 1, left.shape[1]))
-    np.cumsum(np.where(bonds < twist, left, 0.0)[::-1], axis=0, out=log_z[-2::-1])
-    right = np.where(bonds >= twist, right, 0.0)
-    log_z[1:] += np.cumsum(right, axis=0, out=right)
-    log_z -= log_z.max(axis=0)
-    log_z *= 2.0
-    return np.exp(log_z, out=log_z)
 
 
 class EpKind(Enum):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nhssh import dynamics, spectral
+from nhssh import bands, dynamics, spectral
+from nhssh.bands import evolve_chebyshev
 from nhssh.dynamics import (
     Edge,
     NoEdgeStateError,
@@ -14,7 +15,6 @@ from nhssh.dynamics import (
     edge_states,
     evolve_propagator,
     evolve_spectral,
-    evolve_chebyshev,
     initial_edge_state,
     run_quench,
 )
@@ -515,7 +515,7 @@ def bessel_by_quadrature(x: float, k: int) -> float:
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 30.0, 285.0, 1700.0])
 def test_bessel_coefficients_match_the_integral_representation(x):
-    [table], _ = dynamics._bessel_j(np.array([x]))
+    [table], _ = bands._bessel_j(np.array([x]))
     orders = int(1.5 * x) + 201
     assert table.size >= orders
     reference = np.array([bessel_by_quadrature(x, k) for k in range(orders)])
@@ -525,9 +525,9 @@ def test_bessel_coefficients_match_the_integral_representation(x):
 
 def test_bessel_coefficient_rows_do_not_depend_on_the_batch():
     xs = np.array([1700.0, 0.0, 30.0, 0.5, 285.0])
-    batch, _ = dynamics._bessel_j(xs)
+    batch, _ = bands._bessel_j(xs)
     for x, row in zip(xs, batch):
-        [alone], _ = dynamics._bessel_j(np.array([x]))
+        [alone], _ = bands._bessel_j(np.array([x]))
         assert np.array_equal(row[: alone.size], alone)
         assert not row[alone.size :].any()
 
@@ -585,7 +585,7 @@ def test_chebyshev_route_returns_an_overflowed_member_non_finite():
 
 
 def test_chebyshev_route_caps_its_step_count(monkeypatch):
-    monkeypatch.setattr(dynamics, "_CHEBYSHEV_MAX_STEPS", 2)
+    monkeypatch.setattr(bands, "_CHEBYSHEV_MAX_STEPS", 2)
     diagonal = np.array([[1.0 + 0j, -1.0]])  # uncoupled, half-width a = 1
     states = np.ones((1, 2), dtype=complex)
     [at_cap] = evolve_chebyshev(diagonal, np.zeros((1, 1)), states, 2000.0)  # two steps
@@ -653,12 +653,12 @@ def test_chebyshev_route_members_match_themselves_alone_and_the_propagator(batch
             assert relative_error(evolved[lane], propagated) <= 1e-10
 
 
-@pytest.mark.parametrize("ceiling", [dynamics._CHEBYSHEV_ERROR_CEILING, np.inf])
+@pytest.mark.parametrize("ceiling", [bands._CHEBYSHEV_ERROR_CEILING, np.inf])
 def test_chebyshev_route_returns_a_lane_that_does_not_converge_nan(ceiling, monkeypatch):
     # The third example above, whose healthy lane the test above checks. Its
     # damped lane's terms also cancel; with the lost-digits check off (an
     # infinite ceiling), the end of its Bessel table alone must give it NaN.
-    monkeypatch.setattr(dynamics, "_CHEBYSHEV_ERROR_CEILING", ceiling)
+    monkeypatch.setattr(bands, "_CHEBYSHEV_ERROR_CEILING", ceiling)
     configs = [LatticeConfig(n_cells=3, v=0.0, region_start=1, region_end=1, u_im=1.5),
                LatticeConfig(n_cells=3, v=1.0)]
     diagonal, off_diagonal = map(np.array, zip(*map(hamiltonian_bands, configs)))

@@ -69,6 +69,12 @@ def test_import_loads_no_thread_pool_and_leaves_the_environment(module, numpy):
     assert loaded == {"numpy": numpy, "concurrent.futures": False, "environ_unchanged": True}
 
 
+def test_band_kernels_import_no_other_nhssh_module():
+    probe = "import json, sys, nhssh.bands; print(json.dumps(sorted(sys.modules)))"
+    loaded = json.loads(python(["-c", probe]))
+    assert [name for name in loaded if name.startswith("nhssh")] == ["nhssh", "nhssh.bands"]
+
+
 def test_cli_validate_leaves_numpy_unloaded(tmp_path):
     """Both the ok path and the config-error path of `nhssh validate`."""
     empty = tmp_path / "empty.cfg"

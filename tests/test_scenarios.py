@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nhssh import config, dynamics, scenarios, spectral
+from nhssh import bands, config, dynamics, scenarios, spectral
 from nhssh.cli import main as cli_main
 from nhssh.config import (
     SCENARIO_KEYS,
@@ -581,11 +581,28 @@ def test_ratio_sweep_symmetric_chain_is_unity():
 
 
 def test_ratio_sweep_mirror_inversion():
-    cfg = single_point_ratio_config(1.3, 40.0, region_start=29, region_end=32,
-                                    u_re=0.75, u_im=0.75)
-    [ratio] = compute_ratio_sweep(cfg)["ratio"]
-    [mirrored] = compute_ratio_sweep(replace(cfg, u_im=-cfg.u_im))["ratio"]
-    assert ratio * mirrored == pytest.approx(1.0, abs=1e-6)
+    # M H(u_re, u_im) M = H(u_re, -u_im) with M the site flip, which swaps the
+    # edge states, so the mirrored ratio is 1 / ratio; G H(u_re, u_im) G =
+    # -H(-u_re, u_im)* with G = +1 on A and -1 on B sites keeps every density.
+    small = single_point_ratio_config(1.3, 40.0, region_start=29, region_end=32,
+                                      u_re=0.75, u_im=0.75)
+    roundoff = np.finfo(float).eps / 2
+    # Each weight sums at most `terms` rounded Chebyshev terms, so it errs by
+    # about terms * u relative; each identity compares two ratios of two weights.
+    safety = 10
+    for cfg in (small, ScenarioConfig(scenario="ratio-sweep")):
+        ratio = compute_ratio_sweep(cfg)["ratio"]
+        mirrored = compute_ratio_sweep(replace(cfg, u_im=-cfg.u_im))["ratio"]
+        flipped = compute_ratio_sweep(replace(cfg, u_re=-cfg.u_re))["ratio"]
+        # The half-width a of a lane's spectral enclosure is at most 2 ||H||_1;
+        # a one-step lane's Bessel table holds ceil(1.5 a t) + 201 terms.
+        norm = max(np.linalg.norm(build_hamiltonian(scenario_lattice(cfg, v)), 1)
+                   for v in scenario_v_grid(cfg))
+        assert 2 * norm * cfg.t_sample <= bands._CHEBYSHEV_MAX_ARGUMENT
+        terms = math.ceil(1.5 * 2 * norm * cfg.t_sample) + 201
+        bound = safety * 4 * terms * roundoff
+        assert np.max(np.abs(ratio * mirrored - 1.0)) <= bound
+        assert np.max(np.abs(flipped / ratio - 1.0)) <= bound
 
 
 @pytest.mark.parametrize("t_sample", [100.0, 160.0])
@@ -842,12 +859,23 @@ def test_cli_grid_of_more_than_a_million_points_exit_code(scenario, sets, key, t
 
 
 # Each key is finite, but v = (v/w) * w overflows at a v/w the scenario reads:
-# the last grid point of the ratio sweep is 1 + 18000 * 1e303.
+# the last grid point of the ratio sweep is 1 + 18000 * 1e303. Or a band entry
+# of H is finite but its square, which the sweeps' centres of mass form, is
+# not: such a key is named as "<entry>**2".
 @pytest.mark.parametrize("scenario, sets, key", [
     ("lightcone", ["v_initial=1e308"], "v_initial"),
     ("bipartite", ["v_final=1e308"], "v_final"),
     ("spectrum", ["v_grid_start=1e308", "v_grid_stop=1e308"], "v_grid_start"),
     ("ratio-sweep", ["v_grid_stop=1.8e307", "v_grid_step=1e303"], "v_grid_stop"),
+    pytest.param("reshuffle", ["n_cells=10", "region_start=9", "region_end=12", "w=1e160"],
+                 "w**2", id="reshuffle-w-squared"),
+    pytest.param("spectrum", ["u_re=1e308", "u_im=1e308"], "u_re**2",
+                 id="spectrum-u_re-squared"),
+    pytest.param("ratio-sweep", ["u_im=-2e154"], "u_im**2", id="ratio-sweep-u_im-squared"),
+    pytest.param("lightcone", ["v_initial=1e154"], "(v_initial * w)**2",
+                 id="lightcone-v_initial-hopping-squared"),
+    pytest.param("ratio-sweep", ["v_grid_stop=1e154", "v_grid_step=1e153"],
+                 "(v_grid_stop * w)**2", id="ratio-sweep-v_grid_stop-hopping-squared"),
 ])
 def test_cli_overflowing_hopping_exit_code(scenario, sets, key, tmp_path, capsys,
                                           monkeypatch):
@@ -856,16 +884,17 @@ def test_cli_overflowing_hopping_exit_code(scenario, sets, key, tmp_path, capsys
 
     monkeypatch.setattr(scenarios, "run_scenario", no_run)
     sets = ["w=10", *sets]
+    message = f"{key} must be finite" if key.endswith("**2") else f"{key} * w must be finite"
     config_file = tmp_path / "case.cfg"
     config_file.write_text("".join(f"{item}\n" for item in [f"scenario={scenario}", *sets]))
     assert cli_main(["validate", "--config", str(config_file)]) == 2
-    assert f"{key} * w must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     out = tmp_path / "out"
     args = ["run", "--scenario", scenario, "--out", str(out)]
     for item in sets:
         args += ["--set", item]
     assert cli_main(args) == 2
-    assert f"{key} * w must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
