@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nhssh import spectral
-from nhssh.config import LatticeConfig
+from nhssh.config import LatticeConfig, ScenarioConfig, scenario_lattice, scenario_v_grid
 from nhssh.dynamics import NearDefectiveError
 from nhssh.lattice import build_hamiltonian, is_pt_matrix
 from nhssh.spectral import (
@@ -265,12 +265,26 @@ def random_chain(rng, n_cells: int, v: float) -> LatticeConfig:
                          u_re=float(rng.normal()), u_im=float(rng.normal()))
 
 
+def centred_chain(rng, n_cells: int, v: float) -> LatticeConfig:
+    """A random chain whose block is centred, so that H is exactly PT symmetric."""
+    start = int(rng.integers(1, n_cells + 1))
+    return LatticeConfig(n_cells=n_cells, v=v, w=float(rng.uniform(0.2, 3.0)),
+                         region_start=start, region_end=2 * n_cells + 1 - start,
+                         u_re=float(rng.normal()), u_im=float(rng.normal()))
+
+
 def test_eigvals_below_order_75_is_zgeev_bit_for_bit():
     rng = np.random.default_rng(32)
     for n_cells in np.repeat(np.arange(2, 38), 3):
         chain = random_chain(rng, int(n_cells), float(rng.uniform(0.01, 3.0)))
         reference = np.linalg.eigvals(build_hamiltonian(chain))
         assert spectral._eigvals(chain).tobytes() == reference.tobytes()
+    # An exactly PT-symmetric H takes the real form only above order 75.
+    for n_cells in np.arange(2, 38):
+        chain = centred_chain(rng, int(n_cells), float(rng.uniform(0.01, 3.0)))
+        h = build_hamiltonian(chain)
+        assert is_pt_matrix(h)
+        assert spectral._eigvals(chain).tobytes() == np.linalg.eigvals(h).tobytes()
     # At v = 0 zgeev's balancing isolates the cut ends, which zlahqr deflates
     # itself: the same values, but a pair may come out in the other order.
     for n_cells in (2, 10, 37):
@@ -297,7 +311,7 @@ def test_eigvals_falls_back_to_zgeev(monkeypatch):
 
     zgeev, calls = object(), []
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or zgeev)
-    zlahqr, index = spectral._lapack()
+    zlahqr, dgehrd, dlahqr, index = spectral._lapack()
 
     def failing_zlahqr(*args):
         zlahqr(*args)
@@ -311,7 +325,7 @@ def test_eigvals_falls_back_to_zgeev(monkeypatch):
     # Where zgeev would rescale H, and where zlahqr does not converge.
     assert falls_back(chain(1e-150)) and falls_back(chain(1e150))
     with monkeypatch.context() as patch:
-        patch.setattr(spectral, "_lapack", lambda: (failing_zlahqr, index))
+        patch.setattr(spectral, "_lapack", lambda: (failing_zlahqr, dgehrd, dlahqr, index))
         assert falls_back(chain())
     # Above the crossover order, and where numpy's OpenBLAS lacks the routine.
     monkeypatch.setattr(spectral, "_ZLAHQR_MAX_ORDER", 11)
@@ -320,6 +334,72 @@ def test_eigvals_falls_back_to_zgeev(monkeypatch):
     assert spectral._eigvals(chain()) is not zgeev
     monkeypatch.setattr(spectral, "_lapack", lambda: None)
     assert falls_back(chain())
+
+
+def test_eigvals_of_the_real_form_match_zgeev_in_exact_conjugate_pairs():
+    rng = np.random.default_rng(35)
+    chains = [centred_chain(rng, n_sites // 2, float(rng.uniform(0.01, 3.0)))
+              for n_sites in (76, 78, 120, 220, 222, 300, 404, 600)]
+    chains += [centred_chain(rng, n_sites // 2, 0.0) for n_sites in (76, 220, 600)]
+    for chain in chains:
+        h = build_hamiltonian(chain)
+        eigenvalues, reference = spectral._eigvals(chain), np.linalg.eigvals(h)
+        match = _greedy_match(reference, eigenvalues)
+        assert np.max(np.abs(eigenvalues - reference[match])) <= 1e-12 * np.linalg.norm(h, 1)
+        # Each eigenvalue's exact conjugate is an eigenvalue too.
+        conjugate = eigenvalues.conj()
+        assert np.array_equal(np.sort_complex(conjugate), np.sort_complex(eigenvalues))
+
+
+def test_eigvals_runs_real_qr_on_a_centred_block_above_order_75(monkeypatch):
+    zlahqr, dgehrd, dlahqr, index = spectral._lapack()
+    calls = []
+
+    def recorded(name, routine):
+        return lambda *args: calls.append(name) or routine(*args)
+
+    monkeypatch.setattr(spectral, "_lapack", lambda: (
+        recorded("zlahqr", zlahqr), recorded("dgehrd", dgehrd), recorded("dlahqr", dlahqr), index))
+
+    def routines(n_cells, region):
+        calls.clear()
+        spectral._eigvals(LatticeConfig(n_cells=n_cells, v=0.5, region_start=region[0],
+                                        region_end=region[1], u_re=0.75, u_im=0.75))
+        return calls
+
+    assert routines(38, (37, 40)) == ["dgehrd", "dlahqr"]
+    assert routines(110, (109, 112)) == ["dgehrd", "dlahqr"]
+    assert routines(38, (35, 38)) == ["zlahqr"]
+    assert routines(110, (107, 110)) == ["zlahqr"]
+    assert routines(37, (36, 39)) == ["zlahqr"]
+
+
+def test_eigvals_falls_back_to_zgeev_where_dlahqr_does_not_converge(monkeypatch):
+    zlahqr, dgehrd, dlahqr, index = spectral._lapack()
+
+    def failing_dlahqr(*args):
+        dlahqr(*args)
+        args[-1].value = 1
+
+    zgeev, calls = object(), []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or zgeev)
+    monkeypatch.setattr(spectral, "_lapack", lambda: (zlahqr, dgehrd, failing_dlahqr, index))
+    assert spectral._eigvals(flagship_config(1.125)) is zgeev
+    (h,) = calls
+    assert h.tobytes() == build_hamiltonian(flagship_config(1.125)).tobytes()
+
+
+def test_flagship_sweep_puts_minus_im_first_in_exact_conjugate_pairs():
+    cfg = ScenarioConfig(scenario="spectrum")
+    grid = scenario_v_grid(cfg)
+    assert len(grid) == 191
+    sweep = spectrum_sweep(scenario_lattice(cfg, grid[0]), grid)
+    # Each non-real eigenvalue is the -Im or +Im member of an adjacent pair.
+    for eigenvalues in sweep.eigenvalues:
+        nonreal = eigenvalues[eigenvalues.imag != 0]
+        first, second = nonreal[0::2], nonreal[1::2]
+        assert first.real.tobytes() == second.real.tobytes()
+        assert np.array_equal(first.imag, -second.imag) and np.all(first.imag < 0)
 
 
 def test_sweep_keeps_the_mirror_and_sublattice_symmetries():
