@@ -2,7 +2,8 @@
 
 ``evolve_chebyshev`` evolves a batch of states, each under its own H, to one
 time by a Chebyshev expansion; ``_band_centers`` gives the center of mass of
-each eigenvector of H from a twisted factorization. Imports numpy alone.
+each eigenvector of a batch of H from twisted factorizations, and from PT
+symmetry where it pairs them. Imports numpy alone.
 """
 
 from __future__ import annotations
@@ -236,41 +237,107 @@ def evolve_chebyshev(
 
 
 def _band_centers(
-    diagonal: np.ndarray, off_diagonal: np.ndarray, eigenvalues: np.ndarray
+    diagonal: np.ndarray, off_diagonals: np.ndarray, eigenvalues: np.ndarray,
+    exact_pairs: np.ndarray,
 ) -> np.ndarray:
-    """Center of mass of the eigenvector of each eigenvalue of the complex
-    symmetric tridiagonal H with these bands, in O(n) work per eigenvalue.
+    """Center of mass of the eigenvector of each eigenvalue of G complex
+    symmetric tridiagonal H_g with this diagonal, in O(n) work per eigenvalue.
 
-    For each eigenvalue E, the forward and backward pivots of H - E (its
-    LDL^T factorizations started at the first and at the last site) give
-    gamma_k, and the vector z with z_r = 1 at the twist r where |gamma| is
-    smallest solves (H - E) z = gamma_r e_r (Parlett & Dhillon, Linear Algebra
-    Appl. 267, 247 (1997)). log|z| is summed outward from r, so |z|^2 cannot
+    Row g of off_diagonals holds the hoppings of H_g and row g of the (G, n)
+    eigenvalues its eigenvalues, sorted by (Re E, Im E). Where exact_pairs[g]
+    holds, H_g is PT symmetric (P H_g* P = H_g, P the site flip) and each
+    non-real eigenvalue has its exact conjugate in the row: the vector of E*
+    is then P psi* (Bender & Boettcher, PRL 80, 5243 (1998)), so a +Im E
+    next to its -Im partner takes n + 1 minus the partner's center, and a
+    simple real E, whose density is mirror symmetric, takes (n + 1) / 2.
+    Every other eigenvalue is a lane, which gets a twisted vector.
+
+    For each lane's E the forward and backward pivots of H - E (its LDL^T
+    factorizations started at the first and at the last site) give gamma_k,
+    and the vector z with z_r = 1 at the twist r where |gamma| is smallest
+    solves (H - E) z = gamma_r e_r (Parlett & Dhillon, Linear Algebra Appl.
+    267, 247 (1997)). log|z| is summed outward from r, so |z|^2 cannot
     overflow and a zero hopping cuts the chain; a pivot that is exactly zero
     becomes eps^2 ||H||_1. Within a cluster of numerically equal eigenvalues
     (``_CLUSTER_TOL``), where the vectors are a choice of basis, each member
     takes its twist, where it can, outside the sites where an earlier
     member's density reaches eps of its peak: the two zero modes of the
     topological phase land on opposite edges.
+
+    The pivots of consecutive rows whose lanes total at most n run as one
+    batch, one numpy step per site for the whole batch; the twist, density,
+    cluster rule and center of each row then run on that row's own lanes, so
+    a row's centers do not depend on the rows batched with it.
     """
+    points, n = eigenvalues.shape
+    norms, clustered = np.empty(points), np.empty(eigenvalues.shape, dtype=bool)
+    run, mirrored = np.ones_like(clustered), np.zeros_like(clustered)
+    for g, e in enumerate(eigenvalues):
+        hops = np.abs(off_diagonals[g])
+        norms[g] = np.max(np.abs(diagonal) + np.append(hops, 0.0) + np.append(0.0, hops))
+        clustered[g] = _clustered(e, _CLUSTER_TOL * norms[g])
+        if exact_pairs[g]:
+            mirrored[g, 1:] = ~clustered[g, 1:] & (e.imag[1:] > 0) & (e[1:] == e[:-1].conj())
+            run[g] = clustered[g] | (e.imag != 0) & ~mirrored[g]
+    counts = run.sum(axis=1)
+    com = np.full(eigenvalues.shape, (n + 1) / 2)
+    # One batch's pivots and hopping squares, at most n lanes: pivots[0, k] is
+    # the forward pivot of site k, pivots[1, k] the backward pivot of site
+    # n - 1 - k, each computed in place over its diagonal entry of H - E.
+    pivot_rows, square_rows = np.empty((2, n, n), dtype=complex), np.empty((2, n - 1, n))
+    quotient_rows = np.empty((2, n), dtype=complex)
+    start = 0
+    while start < points:
+        stop = start + int(np.searchsorted(np.cumsum(counts[start:]), n, side="right"))
+        batch = slice(start, stop)
+        lanes = eigenvalues[batch][run[batch]]
+        point = np.repeat(np.arange(stop - start), counts[batch])
+        pivots, squares = pivot_rows[..., :lanes.size], square_rows[..., :lanes.size]
+        quotient = quotient_rows[:, :lanes.size]
+        np.subtract(diagonal[:, np.newaxis], lanes, out=pivots[0])
+        pivots[1] = pivots[0, ::-1]
+        np.square(off_diagonals[batch].T[:, point], out=squares[0])
+        squares[1] = squares[0, ::-1]
+        floor = (_EPS * _EPS * norms[batch])[point]
+        for k in range(n - 1):
+            pivot = pivots[:, k]
+            np.copyto(pivot, floor, where=pivot == 0)
+            np.divide(squares[:, k], pivot, out=quotient)
+            pivots[:, k + 1] -= quotient
+        last = 0
+        for g in range(start, stop):
+            first, last = last, last + counts[g]
+            if first < last:
+                com[g, run[g]] = _twisted_centers(
+                    pivots[..., first:last], diagonal, np.abs(off_diagonals[g]),
+                    eigenvalues[g, run[g]], clustered[g, run[g]], _CLUSTER_TOL * norms[g])
+        start = stop
+    g, j = np.nonzero(mirrored)
+    com[g, j] = n + 1 - com[g, j - 1]
+    return com
+
+
+def _clustered(eigenvalues: np.ndarray, tol: float) -> np.ndarray:
+    """Which of these eigenvalues, sorted by (Re E, Im E), lie within tol of
+    another. Those within tol of E_j lie within tol of it in Re E, so pairs
+    d apart are tested only while some pair d apart is that close in Re E."""
+    clustered = np.zeros(eigenvalues.size, dtype=bool)
+    for d in range(1, eigenvalues.size):
+        if not (eigenvalues.real[d:] - eigenvalues.real[:-d] <= tol).any():
+            break
+        close = np.abs(eigenvalues[d:] - eigenvalues[:-d]) <= tol
+        clustered[d:] |= close
+        clustered[:-d] |= close
+    return clustered
+
+
+def _twisted_centers(
+    pivots: np.ndarray, diagonal: np.ndarray, hops: np.ndarray, eigenvalues: np.ndarray,
+    clustered: np.ndarray, tol: float,
+) -> np.ndarray:
+    """Centers of mass of one H's lanes from their pivots (see
+    ``_band_centers``), with |hoppings| hops and these cluster members."""
     n = diagonal.size
-    hops = np.abs(off_diagonal)
-    norm = float(np.max(np.abs(diagonal) + np.append(hops, 0.0) + np.append(0.0, hops)))
-    # pivots[0, k] is the forward pivot of site k, pivots[1, k] the backward
-    # pivot of site n - 1 - k, each computed in place over its diagonal entry
-    # of H - E.
-    pivots = np.empty((2, n, eigenvalues.size), dtype=complex)
-    np.subtract(diagonal[:, np.newaxis], eigenvalues, out=pivots[0])
-    pivots[1] = pivots[0, ::-1]
-    squares = np.square(off_diagonal)
-    squares = np.stack((squares, squares[::-1]))[..., np.newaxis]
-    quotient = np.empty((2, eigenvalues.size), dtype=complex)
-    floor = _EPS * _EPS * norm
-    for k in range(n - 1):
-        pivot = pivots[:, k]
-        pivot[pivot == 0] = floor
-        np.divide(squares[:, k], pivot, out=quotient)
-        pivots[:, k + 1] -= quotient
     forward, backward = pivots[0], pivots[1, ::-1]
     with np.errstate(divide="ignore"):
         log_hops = np.log(hops)[:, np.newaxis]
@@ -284,15 +351,12 @@ def _band_centers(
     forward -= diagonal[:, np.newaxis]
     forward += eigenvalues
     gamma = np.abs(forward)
-    # Freed before the densities are built, so the sweep peaks lower than eig did.
-    del pivots, pivot, forward, backward
     density = _twisted_density(left, right, np.argmin(gamma, axis=0))
-    # The eigenvalues are sorted by (Re E, Im E): those before E_j that lie
-    # within tol of it are among first[j]..j-1, the ones within tol in Re E.
-    tol = _CLUSTER_TOL * norm
-    first = np.searchsorted(eigenvalues.real, eigenvalues.real - tol)
-    for j in np.flatnonzero(first < np.arange(eigenvalues.size)):
-        near = first[j] + np.flatnonzero(np.abs(eigenvalues[first[j]:j] - eigenvalues[j]) <= tol)
+    # Those before E_j that lie within tol of it are among first..j-1, the
+    # ones within tol in Re E.
+    for j in np.flatnonzero(clustered):
+        first = np.searchsorted(eigenvalues.real, eigenvalues.real[j] - tol)
+        near = first + np.flatnonzero(np.abs(eigenvalues[first:j] - eigenvalues[j]) <= tol)
         taken = (density[:, near] >= _EPS).any(axis=1)
         if near.size and not taken.all():
             twist = np.argmin(np.where(taken, np.inf, gamma[:, j]))
@@ -302,7 +366,7 @@ def _band_centers(
 
 def _twisted_density(left: np.ndarray, right: np.ndarray, twist: np.ndarray) -> np.ndarray:
     """|z|^2 / max |z|^2 of each column's twisted vector, from the per-bond
-    log ratios of ``_band_centers`` and each column's twist site."""
+    log ratios of ``_twisted_centers`` and each column's twist site."""
     bonds = np.arange(left.shape[0])[:, np.newaxis]
     log_z = np.zeros((left.shape[0] + 1, left.shape[1]))
     np.cumsum(np.where(bonds < twist, left, 0.0)[::-1], axis=0, out=log_z[-2::-1])

@@ -14,7 +14,7 @@ from .bands import _EPS, _band_centers
 from .config import DEFAULT_SIDE_THRESHOLD, LatticeConfig
 from .lattice import build_hamiltonian, hamiltonian_bands, is_pt_matrix
 from .observables import classify_side, reference_center
-from .parallel import openblas_functions, thread_count, thread_map
+from .parallel import _one_blas_thread, openblas_functions, thread_count, thread_map
 
 __all__ = [
     "Eigensystem",
@@ -152,40 +152,44 @@ def spectrum_sweep(
     """Eigenvalues, centers of mass and side classes across a v/w grid.
 
     Grid entries are ratios v/w; the template's hoppings other than v are kept.
-    Each point takes its eigenvalues from one LAPACK QR (``_eigvals``): real
-    double-shift QR on the exact real form of a PT-symmetric H above order 75,
-    whose conjugate pairs are exact and so sort -Im E first, and zlahqr on H
-    otherwise. They are sorted ascending by (Re E, Im E), and their centers of
-    mass come from the bands of H (``_band_centers``): no eigenvector matrix
-    is formed.
-    The grid points run on NHSSH_THREADS worker threads (``thread_count``).
+    Two passes. First each point takes its eigenvalues from one LAPACK QR
+    (``_eigvals``): real double-shift QR on the exact real form of a
+    PT-symmetric H above order 75, whose conjugate pairs are exact and so sort
+    -Im E first, and zlahqr on H otherwise; they are sorted ascending by
+    (Re E, Im E). The grid points run on NHSSH_THREADS worker threads
+    (``thread_count``). Then one serial pass over the bands of every H
+    (``_band_centers``) gives their centers of mass, with no eigenvector
+    matrix: on the real form only the -Im members and numerically equal
+    eigenvalues need a twisted vector, and PT symmetry gives the rest.
     """
     grid = [float(r) for r in v_grid]
     if not grid:
         raise ValueError("v_grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("v_grid must be strictly increasing")
-    center = reference_center(template)
+    configs = [template.with_v(ratio * template.w) for ratio in grid]
 
-    def at(ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        config = template.with_v(ratio * template.w)
-        eigenvalues = _eigvals(config)
-        eigenvalues = eigenvalues[np.lexsort((eigenvalues.imag, eigenvalues.real))]
-        com = _band_centers(*hamiltonian_bands(config), eigenvalues)
-        return eigenvalues, com, classify_side(com, center, threshold)
+    def at(config: LatticeConfig) -> tuple[np.ndarray, bool]:
+        eigenvalues, exact_pairs = _eigvals(config)
+        return eigenvalues[np.lexsort((eigenvalues.imag, eigenvalues.real))], exact_pairs
 
-    eigenvalues, com, side = zip(*thread_map(at, grid, thread_count()))
+    with _one_blas_thread():
+        eigenvalues, exact_pairs = zip(*thread_map(at, configs, thread_count()))
+        eigenvalues = np.array(eigenvalues)
+        diagonal = hamiltonian_bands(template)[0]
+        hoppings = np.array([hamiltonian_bands(config)[1] for config in configs])
+        com = _band_centers(diagonal, hoppings, eigenvalues, np.array(exact_pairs))
     return Sweep(
         v_over_w=np.array(grid),
-        eigenvalues=np.array(eigenvalues),
-        com=np.array(com),
-        side=np.array(side, dtype=object),
+        eigenvalues=eigenvalues,
+        com=com,
+        side=classify_side(com, reference_center(template), threshold),
     )
 
 
 # zgeev runs zlahqr, the small-bulge QR, up to order 75 and multishift QR
 # above it; on these chains zlahqr alone is the faster of the two up to about
-# order 680, and this is that break-even rounded down.
+# order 680, and this is that break-even rounded down. The real form has no cap.
 _ZLAHQR_MAX_ORDER = 600
 # The order up to which zgeev itself runs zlahqr: up to it _eigvals returns
 # zgeev's bits, so the real form takes over only above it.
@@ -195,10 +199,11 @@ _ZGEEV_ZLAHQR_MAX_ORDER = 75
 _UNSCALED_MIN = np.sqrt(np.finfo(float).tiny) / _EPS
 
 
-def _eigvals(config: LatticeConfig) -> np.ndarray:
+def _eigvals(config: LatticeConfig) -> tuple[np.ndarray, bool]:
     """Eigenvalues of the chain's H from LAPACK's small-matrix QR: for v > 0
-    ``np.linalg.eigvals``' bits up to order 75, and faster than it up to
-    ``_ZLAHQR_MAX_ORDER``.
+    ``np.linalg.eigvals``' bits up to order 75, and faster than it above; and
+    whether they came from the exact real form, so that every non-real one
+    has its exact conjugate among them.
 
     zgeev balances H, reduces it to Hessenberg form, then runs zlahqr up to
     order 75 and multishift QR above it (Braman, Byers & Mathias, SIAM J.
@@ -207,29 +212,32 @@ def _eigvals(config: LatticeConfig) -> np.ndarray:
     equal to its transpose, with real hoppings, so balancing finds equal row
     and column norms and, for v > 0, no site to isolate. At v = 0 zlahqr
     deflates the cut ends itself. So up to order 75, or where H is not
-    exactly PT symmetric, this is one zlahqr call on H.
+    exactly PT symmetric, this is one zlahqr call on H, up to
+    ``_ZLAHQR_MAX_ORDER``.
 
     Above order 75 an exactly PT-symmetric H goes through its exact real form
-    M = Re H - (Im H) P (see ``_sorted_eig``), about 3x faster: dgeev's steps
-    with dlahqr, real double-shift QR, in place of multishift QR, less
-    balancing, which for v > 0 isolates nothing but is not always a no-op on
-    M (it halves site 110 of the flagship chain up to v/w 0.22). Real
-    eigenvalues come back with Im E = 0 and the others in exact conjugate
-    pairs, which (Re E, Im E) order puts -Im E first.
+    M = Re H - (Im H) P (see ``_sorted_eig``), at any order and about 3x
+    faster: dgeev's steps with dlahqr, real double-shift QR, in place of
+    multishift QR, less balancing, which for v > 0 isolates nothing but is
+    not always a no-op on M (it halves site 110 of the flagship chain up to
+    v/w 0.22). Real eigenvalues come back with Im E = 0 and the others in
+    exact conjugate pairs, which (Re E, Im E) order puts -Im E first.
 
-    Above ``_ZLAHQR_MAX_ORDER``, without the LAPACK symbols, where zgeev would
-    rescale H, or where the QR does not converge, this is
-    ``np.linalg.eigvals(H)``.
+    Above ``_ZLAHQR_MAX_ORDER`` off the real form, without the LAPACK
+    symbols, where zgeev would rescale H, or where the QR does not converge,
+    this is ``np.linalg.eigvals(H)``.
     """
     h = _checked(build_hamiltonian(config))
     n = h.shape[0]
     largest = np.abs(h).max()
-    lapack = _lapack() if n <= _ZLAHQR_MAX_ORDER else None
-    if lapack is None or 0 < largest < _UNSCALED_MIN or largest > 1 / _UNSCALED_MIN:
-        return np.linalg.eigvals(h)
+    lapack = _lapack()
+    real_form = n > _ZGEEV_ZLAHQR_MAX_ORDER and is_pt_matrix(h)
+    if (lapack is None or 0 < largest < _UNSCALED_MIN or largest > 1 / _UNSCALED_MIN
+            or not real_form and n > _ZLAHQR_MAX_ORDER):
+        return np.linalg.eigvals(h), False
     zlahqr, dgehrd, dlahqr, index = lapack
     false, first, order, info = index(0), index(1), index(n), index()
-    if n > _ZGEEV_ZLAHQR_MAX_ORDER and is_pt_matrix(h):
+    if real_form:
         # H = H^T, so this C-order array is M in Fortran layout. With the
         # least workspace, n, dgehrd runs its unblocked reduction, which skips
         # the zero reflectors of this sparse M and calls no level-3 BLAS. Its
@@ -247,7 +255,7 @@ def _eigvals(config: LatticeConfig) -> np.ndarray:
         a, eigenvalues = h.copy(), np.empty(n, dtype=complex)
         zlahqr(false, false, order, first, order, a.ctypes.data, order, eigenvalues.ctypes.data,
                first, order, None, order, info)
-    return np.linalg.eigvals(h) if info.value > 0 else eigenvalues
+    return (np.linalg.eigvals(h), False) if info.value > 0 else (eigenvalues, real_form)
 
 
 @functools.cache

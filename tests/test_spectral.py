@@ -6,7 +6,8 @@ import pytest
 from nhssh import spectral
 from nhssh.config import LatticeConfig, ScenarioConfig, scenario_lattice, scenario_v_grid
 from nhssh.dynamics import NearDefectiveError
-from nhssh.lattice import build_hamiltonian, is_pt_matrix
+from nhssh.bands import _band_centers
+from nhssh.lattice import build_hamiltonian, hamiltonian_bands, is_pt_matrix
 from nhssh.spectral import (
     EpKind,
     Sweep,
@@ -278,19 +279,21 @@ def test_eigvals_below_order_75_is_zgeev_bit_for_bit():
     for n_cells in np.repeat(np.arange(2, 38), 3):
         chain = random_chain(rng, int(n_cells), float(rng.uniform(0.01, 3.0)))
         reference = np.linalg.eigvals(build_hamiltonian(chain))
-        assert spectral._eigvals(chain).tobytes() == reference.tobytes()
+        eigenvalues, exact_pairs = spectral._eigvals(chain)
+        assert eigenvalues.tobytes() == reference.tobytes() and not exact_pairs
     # An exactly PT-symmetric H takes the real form only above order 75.
     for n_cells in np.arange(2, 38):
         chain = centred_chain(rng, int(n_cells), float(rng.uniform(0.01, 3.0)))
         h = build_hamiltonian(chain)
         assert is_pt_matrix(h)
-        assert spectral._eigvals(chain).tobytes() == np.linalg.eigvals(h).tobytes()
+        eigenvalues, exact_pairs = spectral._eigvals(chain)
+        assert eigenvalues.tobytes() == np.linalg.eigvals(h).tobytes() and not exact_pairs
     # At v = 0 zgeev's balancing isolates the cut ends, which zlahqr deflates
     # itself: the same values, but a pair may come out in the other order.
     for n_cells in (2, 10, 37):
         chain = random_chain(rng, n_cells, 0.0)
         h = build_hamiltonian(chain)
-        eigenvalues, reference = spectral._eigvals(chain), np.linalg.eigvals(h)
+        (eigenvalues, _), reference = spectral._eigvals(chain), np.linalg.eigvals(h)
         match = _greedy_match(reference, eigenvalues)
         assert np.max(np.abs(eigenvalues - reference[match])) <= 1e-12 * np.linalg.norm(h, 1)
 
@@ -299,7 +302,8 @@ def test_eigvals_below_order_75_is_zgeev_bit_for_bit():
 def test_eigvals_matches_zgeev_at_flagship(ratio):
     # At v = 0 zgeev's balancing isolates sites 1 and 220; zlahqr deflates them.
     h = build_hamiltonian(flagship_config(ratio))
-    eigenvalues, reference = spectral._eigvals(flagship_config(ratio)), np.linalg.eigvals(h)
+    (eigenvalues, exact_pairs), reference = spectral._eigvals(flagship_config(ratio)), np.linalg.eigvals(h)
+    assert exact_pairs
     match = _greedy_match(reference, eigenvalues)
     assert np.max(np.abs(eigenvalues - reference[match])) <= 1e-12 * np.linalg.norm(h, 1)
 
@@ -318,10 +322,10 @@ def test_eigvals_falls_back_to_zgeev(monkeypatch):
         args[-1].value = 1
 
     def falls_back(config):
-        return (spectral._eigvals(config) is zgeev
+        return (spectral._eigvals(config) == (zgeev, False)
                 and np.array_equal(calls.pop(), build_hamiltonian(config)) and not calls)
 
-    assert spectral._eigvals(chain()).shape == (12,) and not calls
+    assert spectral._eigvals(chain())[0].shape == (12,) and not calls
     # Where zgeev would rescale H, and where zlahqr does not converge.
     assert falls_back(chain(1e-150)) and falls_back(chain(1e150))
     with monkeypatch.context() as patch:
@@ -331,7 +335,7 @@ def test_eigvals_falls_back_to_zgeev(monkeypatch):
     monkeypatch.setattr(spectral, "_ZLAHQR_MAX_ORDER", 11)
     assert falls_back(chain())
     monkeypatch.setattr(spectral, "_ZLAHQR_MAX_ORDER", 12)
-    assert spectral._eigvals(chain()) is not zgeev
+    assert spectral._eigvals(chain())[0] is not zgeev
     monkeypatch.setattr(spectral, "_lapack", lambda: None)
     assert falls_back(chain())
 
@@ -339,11 +343,12 @@ def test_eigvals_falls_back_to_zgeev(monkeypatch):
 def test_eigvals_of_the_real_form_match_zgeev_in_exact_conjugate_pairs():
     rng = np.random.default_rng(35)
     chains = [centred_chain(rng, n_sites // 2, float(rng.uniform(0.01, 3.0)))
-              for n_sites in (76, 78, 120, 220, 222, 300, 404, 600)]
+              for n_sites in (76, 78, 120, 220, 222, 300, 404, 600, 640)]
     chains += [centred_chain(rng, n_sites // 2, 0.0) for n_sites in (76, 220, 600)]
     for chain in chains:
         h = build_hamiltonian(chain)
-        eigenvalues, reference = spectral._eigvals(chain), np.linalg.eigvals(h)
+        (eigenvalues, exact_pairs), reference = spectral._eigvals(chain), np.linalg.eigvals(h)
+        assert exact_pairs
         match = _greedy_match(reference, eigenvalues)
         assert np.max(np.abs(eigenvalues - reference[match])) <= 1e-12 * np.linalg.norm(h, 1)
         # Each eigenvalue's exact conjugate is an eigenvalue too.
@@ -384,22 +389,115 @@ def test_eigvals_falls_back_to_zgeev_where_dlahqr_does_not_converge(monkeypatch)
     zgeev, calls = object(), []
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or zgeev)
     monkeypatch.setattr(spectral, "_lapack", lambda: (zlahqr, dgehrd, failing_dlahqr, index))
-    assert spectral._eigvals(flagship_config(1.125)) is zgeev
+    assert spectral._eigvals(flagship_config(1.125)) == (zgeev, False)
     (h,) = calls
     assert h.tobytes() == build_hamiltonian(flagship_config(1.125)).tobytes()
 
 
-def test_flagship_sweep_puts_minus_im_first_in_exact_conjugate_pairs():
+@pytest.fixture(scope="module")
+def flagship_sweep():
+    """The flagship spectrum sweep's template and its 191-point sweep."""
     cfg = ScenarioConfig(scenario="spectrum")
     grid = scenario_v_grid(cfg)
     assert len(grid) == 191
-    sweep = spectrum_sweep(scenario_lattice(cfg, grid[0]), grid)
+    template = scenario_lattice(cfg, grid[0])
+    return template, spectrum_sweep(template, grid)
+
+
+def test_flagship_sweep_puts_minus_im_first_in_exact_conjugate_pairs(flagship_sweep):
+    _, sweep = flagship_sweep
     # Each non-real eigenvalue is the -Im or +Im member of an adjacent pair.
     for eigenvalues in sweep.eigenvalues:
         nonreal = eigenvalues[eigenvalues.imag != 0]
         first, second = nonreal[0::2], nonreal[1::2]
         assert first.real.tobytes() == second.real.tobytes()
         assert np.array_equal(first.imag, -second.imag) and np.all(first.imag < 0)
+
+
+def band_inputs(template, grid):
+    """The shared diagonal and the (G, n - 1) hoppings of a sweep's chains."""
+    configs = [template.with_v(ratio * template.w) for ratio in grid]
+    return hamiltonian_bands(template)[0], np.array([hamiltonian_bands(c)[1] for c in configs])
+
+
+def test_flagship_sweep_centers_by_pt_symmetry_match_a_twisted_vector_each(flagship_sweep):
+    # On the real form only the -Im members and the cluster members get a
+    # twisted vector; P psi* gives the +Im members and the simple real ones.
+    # The kernel run on every eigenvalue is the oracle.
+    template, sweep = flagship_sweep
+    diagonal, hoppings = band_inputs(template, sweep.v_over_w)
+    every = _band_centers(diagonal, hoppings, sweep.eigenvalues, np.zeros(len(sweep.v_over_w)))
+    n, roundoff = diagonal.size, np.finfo(float).eps / 2
+    # A backward-stable eigensolver errs by about n u ||H||_1; an eigenvector
+    # whose nearest eigenvalue lies delta away moves by about that error /
+    # delta, and a center of n sites by up to n times that. The factor covers
+    # the two twisted vectors compared and eigenvalue condition numbers up to
+    # five; the largest ratio of error to bound/safety measured is 0.073.
+    safety = 10
+    for g, eigenvalues in enumerate(sweep.eigenvalues):
+        hops = np.abs(hoppings[g])
+        norm = np.max(np.abs(diagonal) + np.append(hops, 0.0) + np.append(0.0, hops))
+        distance = np.abs(eigenvalues[:, np.newaxis] - eigenvalues)
+        np.fill_diagonal(distance, np.inf)
+        gap = distance.min(axis=1)
+        simple = gap > 1e-12 * norm
+        bound = safety * n * (n * roundoff * norm) / gap
+        assert np.all(np.abs(sweep.com[g] - every[g])[simple] <= bound[simple])
+        # The rule was taken: exact mirror images and exact centres.
+        upper = np.flatnonzero(simple & (eigenvalues.imag > 0))
+        assert np.array_equal(sweep.com[g, upper], n + 1 - sweep.com[g, upper - 1])
+        assert np.all(sweep.com[g, simple & (eigenvalues.imag == 0)] == (n + 1) / 2)
+
+
+def recorded_exact_pairs(monkeypatch) -> list:
+    """The exact_pairs flags each spectrum_sweep hands the band pass."""
+    flags = []
+
+    def recording(diagonal, hoppings, eigenvalues, exact_pairs):
+        flags.append(list(exact_pairs))
+        return _band_centers(diagonal, hoppings, eigenvalues, exact_pairs)
+
+    monkeypatch.setattr(spectral, "_band_centers", recording)
+    return flags
+
+
+def test_sweep_takes_no_pt_rule_off_the_real_form(monkeypatch):
+    flags = recorded_exact_pairs(monkeypatch)
+    grid = [0.4, 1.125, 1.5]
+    off_centre = flagship_config(0.25, region=(107, 110))
+    sweep = spectrum_sweep(off_centre, grid)
+    diagonal, hoppings = band_inputs(off_centre, grid)
+    every = _band_centers(diagonal, hoppings, sweep.eigenvalues, np.zeros(len(grid)))
+    assert sweep.com.tobytes() == every.tobytes()
+    # A PT chain whose real QR does not converge falls back to complex zgeev.
+    zlahqr, dgehrd, dlahqr, index = spectral._lapack()
+
+    def failing_dlahqr(*args):
+        dlahqr(*args)
+        args[-1].value = 1
+
+    monkeypatch.setattr(spectral, "_lapack", lambda: (zlahqr, dgehrd, failing_dlahqr, index))
+    centred = flagship_config(0.25)
+    sweep = spectrum_sweep(centred, grid)
+    diagonal, hoppings = band_inputs(centred, grid)
+    every = _band_centers(diagonal, hoppings, sweep.eigenvalues, np.zeros(len(grid)))
+    assert sweep.com.tobytes() == every.tobytes()
+    assert flags == [[False] * 3, [False] * 3]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_centers_do_not_depend_on_the_points_batched_with_them(threads, monkeypatch):
+    # 30-50 -Im lanes a point and no cluster, so the band pass batches 4-7
+    # points; each must keep the bits it has alone.
+    monkeypatch.setenv("NHSSH_THREADS", threads)
+    grid = [1.0 + 0.05 * k for k in range(11)]
+    sweep = spectrum_sweep(flagship_config(0.25), grid)
+    lanes = np.count_nonzero(sweep.eigenvalues.imag < 0, axis=1)
+    assert lanes.min() >= 30 and lanes.max() <= 50
+    for g, ratio in enumerate(grid):
+        alone = spectrum_sweep(flagship_config(0.25), [ratio])
+        assert alone.eigenvalues.tobytes() == sweep.eigenvalues[g].tobytes()
+        assert alone.com.tobytes() == sweep.com[g].tobytes()
 
 
 def test_sweep_keeps_the_mirror_and_sublattice_symmetries():
